@@ -12,82 +12,62 @@ import argparse
 import json
 import math
 import os
+import shutil
+import signal
 import sys
+import tempfile
 import time
-from dataclasses import dataclass, field
+import uuid
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import empd, frame_source, fscheduler, similarity, stream_sim, vprocessor
 from .empd import EvsoLevel
 from .errors import EvsoError
 from .frame_source import FrameDims, FrameSequence, as_fps
-from .fscheduler import PROFILE_FACTORS, RateProfile
-from .similarity import DiffSeries, PairDiff
+from .fscheduler import PROFILE_FACTORS, RateProfile, ScheduleConfig, SplitConfig
+from .similarity import DiffSeries, PairDiff, SimilarityConfig
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _default_profiles() -> Dict[str, List[float]]:
-    return {name: list(factors) for name, factors in PROFILE_FACTORS.items()}
-
-
 @dataclass
 class PipelineConfig:
-    """Every tunable of the pipeline, JSON-loadable as one flat document."""
+    """Every tunable of the pipeline, JSON-loadable as one flat document.
 
-    theta: int = 320
-    alpha: int = 3000
-    beta: int = 15000
-    k_window: int = 10
-    taus: List[int] = field(default_factory=lambda: [500, 1500, 3000, 6000])
-    delta: float = 0.0001
-    profiles: Dict[str, List[float]] = field(default_factory=_default_profiles)
+    The document's keys are the fields of the three stage configs, in order;
+    their defaults live in those classes.
+    """
+
+    similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
+    split: SplitConfig = field(default_factory=SplitConfig)
+    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "k_window": self.k_window,
-            "taus": list(self.taus),
-            "delta": self.delta,
-            "profiles": {k: list(v) for k, v in self.profiles.items()},
-        }
+        doc = {}
+        for part in (self.similarity, self.split, self.schedule):
+            doc.update((f.name, getattr(part, f.name)) for f in fields(part))
+        doc["taus"] = list(doc["taus"])
+        doc["profiles"] = {name: list(profile.s_factors)
+                           for name, profile in doc["profiles"].items()}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {"theta", "alpha", "beta", "k_window", "taus", "delta",
-                 "profiles"}
-        unknown = sorted(set(doc) - known)
+        merged = cls().to_dict()
+        unknown = sorted(set(doc) - set(merged))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        merged = cls().to_dict()
         merged.update(doc)
-        return cls(
-            theta=merged["theta"], alpha=merged["alpha"], beta=merged["beta"],
-            k_window=merged["k_window"], taus=list(merged["taus"]),
-            delta=merged["delta"],
-            profiles={k: list(v) for k, v in merged["profiles"].items()},
-        )
-
-    def similarity_config(self) -> similarity.SimilarityConfig:
-        return similarity.SimilarityConfig(theta=self.theta)
-
-    def split_config(self) -> fscheduler.SplitConfig:
-        return fscheduler.SplitConfig(alpha=self.alpha, beta=self.beta,
-                                      k_window=self.k_window)
-
-    def schedule_config(self) -> fscheduler.ScheduleConfig:
-        return fscheduler.ScheduleConfig(
-            taus=tuple(self.taus), delta=self.delta,
-            profiles={
-                name: RateProfile(name=name, s_factors=tuple(factors))
-                for name, factors in self.profiles.items()
-            },
-        )
+        merged["profiles"] = {
+            name: RateProfile(name=name, s_factors=tuple(factors))
+            for name, factors in merged["profiles"].items()
+        }
+        return cls(*(kind(**{f.name: merged[f.name] for f in fields(kind)})
+                     for kind in (SimilarityConfig, SplitConfig, ScheduleConfig)))
 
 
 def format_config(doc: dict) -> str:
@@ -113,13 +93,23 @@ def load_config(path: Optional[str]) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def _write_bytes(path: str, data: bytes) -> None:
+    """Write through a uniquely named sibling, so concurrent writers never
+    share a temp file and readers never see a partial target."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    # Exclusive create under the umask, like the target itself would get;
+    # tempfile.mkstemp would leave every output readable by its owner only.
+    tmp = os.path.join(parent,
+                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_text(path: str, text: str) -> None:
@@ -128,16 +118,9 @@ def _write_text(path: str, text: str) -> None:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        _write_text(_resolve_out(args, args.out), text)
+        _write_text(args.out, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
-
-
-def _resolve_out(args, path: str) -> str:
-    base = getattr(args, "output_dir", None)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
 
 
 def _parse_dims(text: str) -> FrameDims:
@@ -205,8 +188,7 @@ def _obtain_series(args, config: PipelineConfig) -> DiffSeries:
             return _series_from_doc(json.load(fh))
     if not args.input:
         raise EvsoError("need a video input or --analysis")
-    return similarity.diff_series(_load_video(args),
-                                  config.similarity_config())
+    return similarity.diff_series(_load_video(args), config.similarity)
 
 
 def _schedule_to_doc(sched: fscheduler.RateSchedule) -> dict:
@@ -251,7 +233,7 @@ def _dump_json(doc: dict) -> str:
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
     sequence = _load_video(args)
-    series = similarity.diff_series(sequence, config.similarity_config(),
+    series = similarity.diff_series(sequence, config.similarity,
                                     with_ssim=args.with_ssim)
     _emit(args, _dump_json(_series_to_doc(series)))
     return 0
@@ -260,7 +242,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
 def cmd_split(args, config: PipelineConfig) -> int:
     series = _obtain_series(args, config)
     gamma = as_fps(args.gamma) if args.gamma else series.fps
-    plan = fscheduler.split(series, gamma=gamma, config=config.split_config())
+    plan = fscheduler.split(series, gamma=gamma, config=config.split)
     doc = {
         "frame_count": plan.frame_count,
         "fps": str(plan.fps),
@@ -271,44 +253,43 @@ def cmd_split(args, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_schedule(args, config: PipelineConfig) -> int:
-    series = _obtain_series(args, config)
+def _schedule(series: DiffSeries, args,
+              config: PipelineConfig) -> fscheduler.RateSchedule:
+    """Split and rate a series at --gamma, or at the source rate without it."""
     gamma = as_fps(args.gamma) if args.gamma else series.fps
-    sched = fscheduler.schedule(series, gamma=gamma,
-                                split_config=config.split_config(),
-                                schedule_config=config.schedule_config())
+    return fscheduler.schedule(series, gamma=gamma, split_config=config.split,
+                               schedule_config=config.schedule)
+
+
+def cmd_schedule(args, config: PipelineConfig) -> int:
+    sched = _schedule(_obtain_series(args, config), args, config)
     _emit(args, _dump_json(_schedule_to_doc(sched)))
     return 0
 
 
-def _processed_for_profile(sequence: FrameSequence, profile: str,
-                           gamma: Fraction,
+def _processed_for_profile(sequence: FrameSequence, args,
                            config: PipelineConfig) -> vprocessor.ProcessedVideo:
-    if profile == "baseline":
+    if args.profile == "baseline":
         return vprocessor.decimate_uniform(sequence, sequence.fps, "baseline")
-    if profile == "two_thirds":
+    if args.profile == "two_thirds":
         return vprocessor.decimate_uniform(
             sequence, sequence.fps * Fraction(2, 3), "two_thirds")
-    series = similarity.diff_series(sequence, config.similarity_config())
-    sched = fscheduler.schedule(series, gamma=gamma,
-                                split_config=config.split_config(),
-                                schedule_config=config.schedule_config())
-    return vprocessor.process(sequence, sched, profile)
+    series = similarity.diff_series(sequence, config.similarity)
+    return vprocessor.process(sequence, _schedule(series, args, config),
+                              args.profile)
 
 
 def cmd_process(args, config: PipelineConfig) -> int:
     sequence = _load_video(args)
-    gamma = as_fps(args.gamma) if args.gamma else sequence.fps
-    video = _processed_for_profile(sequence, args.profile, gamma, config)
-    out = _resolve_out(args, args.out)
+    video = _processed_for_profile(sequence, args, config)
     if args.mode == "hold":
-        _write_bytes(out, vprocessor.hold_stream(video, sequence))
-        written = [out]
+        _write_bytes(args.out, vprocessor.hold_stream(video, sequence))
+        written = [args.out]
     else:
         blobs = vprocessor.segment_streams(video, sequence)
         written = []
         for i, blob in enumerate(blobs):
-            path = os.path.join(out, f"chunk_{i:03d}.y4m")
+            path = os.path.join(args.out, f"chunk_{i:03d}.y4m")
             _write_bytes(path, blob)
             written.append(path)
     summary = {
@@ -323,72 +304,85 @@ def cmd_process(args, config: PipelineConfig) -> int:
     return 0
 
 
-#: Processing profile behind each manifest level.
-_LEVEL_PROFILES: Tuple[Tuple[EvsoLevel, Optional[str]], ...] = (
-    (EvsoLevel.BASELINE, None),
-    (EvsoLevel.HIGH, "evso"),
-    (EvsoLevel.MEDIUM, "evso_plus"),
-    (EvsoLevel.LOW, "evso_plus_plus"),
-)
-
-
 def _bandwidth_bps(total_bytes: int, frame_count: int, fps: Fraction) -> int:
     return math.ceil(Fraction(total_bytes * 8) * fps / frame_count)
 
 
-def cmd_pipeline(args, config: PipelineConfig) -> int:
-    sequence = _load_video(args)
-    outdir = _resolve_out(args, args.outdir)
-    if os.path.exists(outdir) and os.listdir(outdir) and not args.force:
-        raise EvsoError(f"output dir {outdir} is not empty (use --force)")
-    gamma = as_fps(args.gamma) if args.gamma else sequence.fps
+def _tree_manifest(root: str,
+                   sched: fscheduler.RateSchedule) -> empd.EmpdManifest:
+    """Manifest over the segment files under root/segments/<level>/.
 
-    series = similarity.diff_series(sequence, config.similarity_config())
-    sched = fscheduler.schedule(series, gamma=gamma,
-                                split_config=config.split_config(),
-                                schedule_config=config.schedule_config())
+    Every level directory holding .y4m files becomes one video set. Its
+    bandwidth comes from the files' total size over the clip duration, and
+    the frame size from the first segment's header.
+    """
+    urls: Dict[EvsoLevel, List[str]] = {}
+    bandwidths: Dict[EvsoLevel, int] = {}
+    dims: Optional[FrameDims] = None
+    for level in EvsoLevel:
+        level_dir = os.path.join(root, "segments", level.value)
+        if not os.path.isdir(level_dir):
+            continue
+        # Shorter names first keeps chunk_NNN in numeric order past 999.
+        names = sorted((n for n in os.listdir(level_dir) if n.endswith(".y4m")),
+                       key=lambda n: (len(n), n))
+        if not names:
+            continue
+        urls[level] = [f"segments/{level.value}/{n}" for n in names]
+        total = sum(os.path.getsize(os.path.join(level_dir, n)) for n in names)
+        bandwidths[level] = _bandwidth_bps(total, sched.frame_count, sched.fps)
+        if dims is None:
+            dims, _ = frame_source.sniff_y4m(os.path.join(level_dir, names[0]))
+    return empd.build_manifest(
+        chunk_count=len(sched.entries),
+        duration_seconds=Fraction(sched.frame_count) / sched.fps,
+        segments_by_level=urls, bandwidth_by_level=bandwidths,
+        width=dims.width if dims else None,
+        height=dims.height if dims else None,
+        mime_type="video/x-yuv4mpeg",
+    )
+
+
+def _write_tree(root: str, sequence: FrameSequence,
+                config: PipelineConfig, args) -> dict:
+    """Segments per level, manifest, schedule and quality report under root.
+
+    root is a fresh private directory, so files are written in place.
+    Returns the chunk count and each level's bandwidth.
+    """
+    def put(rel: str, data: bytes) -> None:
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    series = similarity.diff_series(sequence, config.similarity)
+    sched = _schedule(series, args, config)
     ranges = tuple(entry.range for entry in sched)
 
-    videos: Dict[EvsoLevel, vprocessor.ProcessedVideo] = {}
-    for level, profile in _LEVEL_PROFILES:
+    videos: Dict[str, vprocessor.ProcessedVideo] = {}
+    for level, profile in empd.PROFILE_FOR_LEVEL.items():
         if profile is None:
             flat = vprocessor.decimate_uniform(sequence, sequence.fps,
                                                "baseline")
-            videos[level] = vprocessor.restrict_to_chunks(flat, ranges)
+            video = vprocessor.restrict_to_chunks(flat, ranges)
         else:
-            videos[level] = vprocessor.process(sequence, sched, profile)
-
-    urls: Dict[EvsoLevel, List[str]] = {}
-    bandwidths: Dict[EvsoLevel, int] = {}
-    for level, video in videos.items():
+            video = vprocessor.process(sequence, sched, profile)
+        # `blobs` must outlive this loop: the live buffers keep glibc from
+        # trimming the heap top that every ssim call below reallocates.
         blobs = vprocessor.segment_streams(video, sequence)
-        level_urls = []
         for i, blob in enumerate(blobs):
-            rel = f"segments/{level.value}/chunk_{i:03d}.y4m"
-            _write_bytes(os.path.join(outdir, rel), blob)
-            level_urls.append(rel)
-        urls[level] = level_urls
-        bandwidths[level] = _bandwidth_bps(sum(len(b) for b in blobs),
-                                           len(sequence), sequence.fps)
+            put(f"segments/{level.value}/chunk_{i:03d}.y4m", blob)
+        videos[level.value] = video
 
-    manifest = empd.build_manifest(
-        chunk_count=len(ranges),
-        duration_seconds=sequence.duration_seconds,
-        segments_by_level=urls, bandwidth_by_level=bandwidths,
-        width=sequence.dims.width, height=sequence.dims.height,
-        mime_type="video/x-yuv4mpeg",
-    )
-    _write_bytes(os.path.join(outdir, "manifest.mpd"),
-                 empd.serialize_xml(manifest))
-    _write_text(os.path.join(outdir, "schedule.json"),
-                _dump_json(_schedule_to_doc(sched)))
+    manifest = _tree_manifest(root, sched)
+    put("manifest.mpd", empd.serialize_xml(manifest))
+    put("schedule.json", _dump_json(_schedule_to_doc(sched)).encode())
 
-    two_thirds = vprocessor.decimate_uniform(
+    videos["two_thirds"] = vprocessor.decimate_uniform(
         sequence, sequence.fps * Fraction(2, 3), "two_thirds")
-    report_videos = dict(videos)
     report: Dict[str, dict] = {}
-    for key, video in list(report_videos.items()) + [("two_thirds", two_thirds)]:
-        label = key.value if isinstance(key, EvsoLevel) else key
+    for label, video in videos.items():
         quality = vprocessor.quality_report(video, sequence)
         report[label] = {
             "kept_frames": quality.kept_count,
@@ -402,13 +396,41 @@ def cmd_pipeline(args, config: PipelineConfig) -> int:
         "chunks": len(ranges),
         "levels": report,
     }
-    _write_text(os.path.join(outdir, "quality_report.json"),
-                _dump_json(quality_doc))
-    print(_dump_json({
-        "outdir": outdir,
+    put("quality_report.json", _dump_json(quality_doc).encode())
+    return {
         "chunks": len(ranges),
-        "levels": {level.value: bandwidths[level] for level in bandwidths},
-    }), end="")
+        "levels": {aset.evso_level.value: aset.representations[0].bandwidth
+                   for aset in manifest.video_sets()},
+    }
+
+
+#: What pipeline writes into its output directory; nothing else there is
+#: touched. manifest.mpd goes last, so it never names a missing segment.
+_TREE_ENTRIES = ("segments", "schedule.json", "quality_report.json",
+                 "manifest.mpd")
+
+
+def cmd_pipeline(args, config: PipelineConfig) -> int:
+    sequence = _load_video(args)
+    outdir = args.outdir
+    if os.path.exists(outdir) and os.listdir(outdir) and not args.force:
+        raise EvsoError(f"output dir {outdir} is not empty (use --force)")
+    # Build the tree in a staging directory inside outdir and move its
+    # entries over the old ones only once complete. A failed run leaves the
+    # old tree as it was; the old segments/ goes whole, so no chunk of an
+    # earlier, longer clip stays behind.
+    os.makedirs(outdir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".stage-", dir=outdir)
+    try:
+        summary = _write_tree(stage, sequence, config, args)
+        old_segments = os.path.join(outdir, "segments")
+        if os.path.lexists(old_segments):
+            os.replace(old_segments, os.path.join(stage, "old_segments"))
+        for name in _TREE_ENTRIES:
+            os.replace(os.path.join(stage, name), os.path.join(outdir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    print(_dump_json({"outdir": outdir, **summary}), end="")
     return 0
 
 
@@ -436,35 +458,10 @@ def cmd_manifest(args, config: PipelineConfig) -> int:
 
     if not args.dir:
         raise EvsoError("need a pipeline output dir or --parse FILE")
-    root = args.dir
-    with open(os.path.join(root, "schedule.json"), "r") as fh:
+    with open(os.path.join(args.dir, "schedule.json"), "r") as fh:
         sched = _schedule_from_doc(json.load(fh))
-    urls: Dict[EvsoLevel, List[str]] = {}
-    bandwidths: Dict[EvsoLevel, int] = {}
-    dims: Optional[FrameDims] = None
-    for level in EvsoLevel:
-        level_dir = os.path.join(root, "segments", level.value)
-        if not os.path.isdir(level_dir):
-            continue
-        names = sorted(n for n in os.listdir(level_dir) if n.endswith(".y4m"))
-        if not names:
-            continue
-        urls[level] = [f"segments/{level.value}/{n}" for n in names]
-        total = sum(os.path.getsize(os.path.join(level_dir, n)) for n in names)
-        bandwidths[level] = _bandwidth_bps(total, sched.frame_count, sched.fps)
-        if dims is None:
-            dims, _ = frame_source.sniff_y4m(os.path.join(level_dir, names[0]))
-    manifest = empd.build_manifest(
-        chunk_count=len(sched.entries),
-        duration_seconds=Fraction(sched.frame_count) / sched.fps,
-        segments_by_level=urls, bandwidth_by_level=bandwidths,
-        width=dims.width if dims else None,
-        height=dims.height if dims else None,
-        mime_type="video/x-yuv4mpeg",
-    )
-    out = _resolve_out(args, args.out) if args.out else os.path.join(
-        root, "manifest.mpd")
-    _write_bytes(out, empd.serialize_xml(manifest))
+    out = args.out or os.path.join(args.dir, "manifest.mpd")
+    _write_bytes(out, empd.serialize_xml(_tree_manifest(args.dir, sched)))
     print(out)
     return 0
 
@@ -478,7 +475,7 @@ def cmd_correlate(args, config: PipelineConfig) -> int:
     diffs: List[int] = []
     ssims: List[float] = []
     for sequence in sequences:
-        series = similarity.diff_series(sequence, config.similarity_config(),
+        series = similarity.diff_series(sequence, config.similarity,
                                         with_ssim=True)
         for pair in series.pairs:
             diffs.append(pair.m_diff)
@@ -510,14 +507,22 @@ def cmd_simulate(args, config: PipelineConfig) -> int:
 def cmd_serve(args, config: PipelineConfig) -> int:
     handle = stream_sim.serve(args.dir, host=args.host, port=args.port,
                               manifest_name=args.manifest_name)
-    print(f"serving {handle.root} at {handle.url}")
+    # A server started in the background from a script inherits SIGINT
+    # ignored, and service managers stop with SIGTERM: take both as the
+    # request to close the server and exit cleanly.
+    previous = {sig: signal.signal(sig, signal.default_int_handler)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
+        # Flushed, so a script reading a pipe learns the port of --port 0.
+        print(f"serving {handle.root} at {handle.url}", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         pass
     finally:
         handle.close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0
 
 
@@ -534,7 +539,7 @@ def cmd_synth(args, config: PipelineConfig) -> int:
         sequence = frame_source.synth_noise(args.dims, args.count, args.seed,
                                             args.amplitude, fps)
     data = frame_source.encode_y4m(list(sequence), sequence.fps)
-    _write_bytes(_resolve_out(args, args.out), data)
+    _write_bytes(args.out, data)
     print(args.out)
     return 0
 
@@ -549,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Motion-aware frame-rate scheduling for streamed video.",
     )
     parser.add_argument("--config", help="JSON file overriding the defaults")
-    parser.add_argument("--output-dir", help="base directory for relative outputs")
     parser.add_argument("--show-config", action="store_true",
                         help="print the effective configuration and exit")
     sub = parser.add_subparsers(dest="command")
@@ -655,10 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_help()
             return 2
         return args.func(args, config)
-    except EvsoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (EvsoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -164,6 +164,11 @@ def _sequence(planes: Iterable[np.ndarray], dims: FrameDims, fps: FpsLike,
 # Y4M (YUV4MPEG2)
 # ---------------------------------------------------------------------------
 
+def _chroma_420_bytes(width: int, height: int) -> int:
+    """Both 4:2:0 chroma planes; odd dimensions round up."""
+    return ((width + 1) // 2) * ((height + 1) // 2) * 2
+
+
 def _readline(stream: BinaryIO, limit: int = 1024) -> bytes:
     """Read up to a newline; returns b"" at EOF. Never reads past the \\n."""
     out = bytearray()
@@ -188,17 +193,18 @@ def _parse_signature(header: bytes):
     color = "420"
     for token in header.split()[1:]:
         tag = token.decode("ascii", "replace")
-        if tag.startswith("W"):
-            width = int(tag[1:])
-        elif tag.startswith("H"):
-            height = int(tag[1:])
-        elif tag.startswith("F"):
-            num, _, den = tag[1:].partition(":")
-            if not den:
-                raise MalformedHeader(f"bad frame rate tag {tag!r}")
-            fps = Fraction(int(num), int(den))
-        elif tag.startswith("C"):
-            color = tag[1:]
+        try:
+            if tag.startswith("W"):
+                width = int(tag[1:])
+            elif tag.startswith("H"):
+                height = int(tag[1:])
+            elif tag.startswith("F"):
+                num, _, den = tag[1:].partition(":")
+                fps = Fraction(int(num), int(den))
+            elif tag.startswith("C"):
+                color = tag[1:]
+        except (ValueError, ZeroDivisionError):
+            raise MalformedHeader(f"bad {tag[0]} tag {tag!r}") from None
     if width is None or height is None or fps is None:
         raise MalformedHeader("header lacks one of W/H/F")
     if fps <= 0:
@@ -218,8 +224,8 @@ def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
 
     The signature line must carry W, H and F parameters; interlace (I) and
     aspect (A) tags are accepted and ignored. Supported color spaces are the
-    4:2:0 family and mono; for 4:2:0 the W*H/2 chroma bytes per frame are
-    skipped.
+    4:2:0 family and mono; for 4:2:0 the two ceil(W/2) x ceil(H/2) chroma
+    planes of each frame are skipped.
     """
     stream = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
     width, height, fps, color = _parse_signature(_readline(stream))
@@ -227,7 +233,7 @@ def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
     if color == "mono":
         chroma_bytes = 0
     elif color in _Y4M_420_TAGS:
-        chroma_bytes = (width // 2) * (height // 2) * 2
+        chroma_bytes = _chroma_420_bytes(width, height)
     else:
         raise UnsupportedColorSpace(f"color space {color!r}")
 
@@ -280,12 +286,13 @@ def encode_y4m(frames: Sequence[Frame], fps: FpsLike) -> bytes:
 def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSequence:
     """Split a headerless planar file into frames at a fixed stride.
 
-    layout "I420" expects W*H luma + W*H/2 chroma per frame; "YONLY" expects
-    bare luma planes. Only the luma portion is kept.
+    layout "I420" expects W*H luma plus two ceil(W/2) x ceil(H/2) chroma
+    planes per frame; "YONLY" expects bare luma planes. Only the luma portion
+    is kept.
     """
     layout = layout.upper()
     if layout == "I420":
-        frame_bytes = dims.pixels + (dims.width // 2) * (dims.height // 2) * 2
+        frame_bytes = dims.pixels + _chroma_420_bytes(dims.width, dims.height)
     elif layout == "YONLY":
         frame_bytes = dims.pixels
     else:

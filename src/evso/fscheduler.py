@@ -40,14 +40,12 @@ class SplitConfig:
 
     The rolling window at frame n covers the K-1 pair diffs for frames
     n-K+1 .. n, ending with the pair (n-1, n) under test. Its mean divides
-    that K-1-term sum by K; set normalized_mean=True to divide by the summand
-    count K-1 instead. The standard deviation always divides by K-1.
+    that K-1-term sum by K; the standard deviation divides by K-1.
     """
 
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
     k_window: int = DEFAULT_K_WINDOW
-    normalized_mean: bool = False
 
     def __post_init__(self) -> None:
         if self.k_window < 2:
@@ -110,8 +108,7 @@ def rolling_stats(m_diffs: Sequence[int], n: int,
             f"n={n} outside [{k}, {len(m_diffs)}] for window size {k}"
         )
     window = m_diffs[n - k + 1:n]
-    mean_den = (k - 1) if cfg.normalized_mean else k
-    mean = sum(window) / mean_den
+    mean = sum(window) / k
     var = sum((d - mean) ** 2 for d in window) / (k - 1)
     return mean, math.sqrt(var)
 
@@ -284,18 +281,25 @@ class RateSchedule:
 def schedule(series: DiffSeries, gamma: Optional[Fraction] = None,
              split_config: Optional[SplitConfig] = None,
              schedule_config: Optional[ScheduleConfig] = None) -> RateSchedule:
-    """Split a diff series and rate every chunk under every profile."""
+    """Split a diff series and rate every chunk under every profile.
+
+    A one-frame chunk (split may cut at the last frame) holds no pair of its
+    own; it is rated from the pair entering it, (start-1, start), so its
+    sigma is 0.0.
+    """
     cfg = schedule_config or ScheduleConfig()
     gamma = series.fps if gamma is None else Fraction(gamma)
     plan = split(series, gamma=gamma, config=split_config)
     entries = []
     for chunk in plan:
+        rated = (chunk if chunk.frame_count > 1
+                 else ChunkRange(chunk.start - 1, chunk.end))
         rates = {
-            name: evf(series, chunk, profile, gamma, cfg)
+            name: evf(series, rated, profile, gamma, cfg)
             for name, profile in cfg.profiles.items()
         }
         entries.append(ChunkScheduleEntry(
-            range=chunk, sigma=chunk_sigma(series, chunk), rates=rates,
+            range=chunk, sigma=chunk_sigma(series, rated), rates=rates,
         ))
     return RateSchedule(entries=tuple(entries), frame_count=series.frame_count,
                         fps=series.fps, gamma=gamma)

@@ -20,6 +20,7 @@ from .errors import (
     BlockOutOfRange,
     DegenerateInput,
     DimsMismatch,
+    FrameTooSmall,
     TooFewFrames,
 )
 from .frame_source import MACROBLOCK_EDGE, Frame, FrameDims, FrameSequence
@@ -184,7 +185,7 @@ def ssim(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray]) -> float:
     pb = _plane(b).astype(np.float64)
     _check_same_dims(pa, pb)
     if pa.shape[0] < _SSIM_EDGE or pa.shape[1] < _SSIM_EDGE:
-        raise DimsMismatch(
+        raise FrameTooSmall(
             f"plane {pa.shape} smaller than an {_SSIM_EDGE}x{_SSIM_EDGE} window"
         )
     area = float(_SSIM_EDGE * _SSIM_EDGE)

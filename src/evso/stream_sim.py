@@ -140,25 +140,15 @@ class SessionLog:
 
     rows: Tuple[SessionRow, ...]
 
-    def write_csv(self, target: Union[str, os.PathLike, TextIO]) -> None:
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with open(target, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh: TextIO) -> None:
-        writer = csv.writer(fh)
+    def to_csv_text(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         writer.writerow(["segment_index", "battery_level", "bandwidth_bps",
                          "selected_level", "representation_id", "segment_url"])
         for row in self.rows:
             writer.writerow([row.segment_index, row.battery.value,
                              row.bandwidth_bps, row.selected_level.value,
                              row.representation_id, row.segment_url])
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
         return buf.getvalue()
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
+
+import numpy as np
 
 from .errors import InvalidRate, ScheduleMismatch
 from .frame_source import Frame, FrameSequence, encode_y4m
@@ -168,6 +170,20 @@ def segment_streams(video: ProcessedVideo,
     ]
 
 
+def _held_planes(video: ProcessedVideo,
+                 sequence: FrameSequence) -> Iterator[Tuple[np.ndarray, bool]]:
+    """Walk the source positions in order. At each, yield the plane the held
+    reconstruction shows there and whether it is that position's own frame:
+    a kept frame, or the first frame, which is shown even when dropped."""
+    kept = set(video.kept_indices)
+    last_plane = None
+    for pos in range(len(sequence)):
+        own = pos in kept or last_plane is None
+        if own:
+            last_plane = sequence[pos].y_plane
+        yield last_plane, own
+
+
 def hold_sequence(video: ProcessedVideo,
                   sequence: FrameSequence) -> FrameSequence:
     """Source-length reconstruction: dropped frames repeat the last kept one.
@@ -176,14 +192,11 @@ def hold_sequence(video: ProcessedVideo,
     makes it directly comparable to the original frame by frame.
     """
     _check_sequence(sequence, video.frame_count, video.fps)
-    kept = set(video.kept_indices)
-    frames = []
-    last_plane = None
-    for pos in range(len(sequence)):
-        if pos in kept or last_plane is None:
-            last_plane = sequence[pos].y_plane
-        frames.append(Frame(dims=sequence.dims, y_plane=last_plane, index=pos))
-    return FrameSequence(frames=tuple(frames), fps=sequence.fps,
+    frames = tuple(
+        Frame(dims=sequence.dims, y_plane=plane, index=pos)
+        for pos, (plane, _) in enumerate(_held_planes(video, sequence))
+    )
+    return FrameSequence(frames=frames, fps=sequence.fps,
                          source_label=f"hold:{video.label}")
 
 
@@ -220,19 +233,14 @@ def quality_report(video: ProcessedVideo,
     without being recomputed; only dropped positions are measured.
     """
     _check_sequence(sequence, video.frame_count, video.fps)
-    kept = set(video.kept_indices)
+    held = list(_held_planes(video, sequence))
     per_chunk = []
     total = 0.0
-    last_plane = None
     for chunk in video.chunks:
         chunk_total = 0.0
         for pos in range(chunk.range.start, chunk.range.end):
-            if pos in kept or last_plane is None:
-                last_plane = sequence[pos].y_plane
-                score = 1.0
-            else:
-                score = ssim(last_plane, sequence[pos].y_plane)
-            chunk_total += score
+            plane, own = held[pos]
+            chunk_total += 1.0 if own else ssim(plane, sequence[pos].y_plane)
         per_chunk.append(chunk_total / chunk.range.frame_count)
         total += chunk_total
     return QualityReport(

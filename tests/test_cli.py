@@ -1,11 +1,21 @@
+import importlib.util
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
+import urllib.request
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from evso import cli
+import evso
+from evso import cli, errors
 from evso.frame_source import read_y4m
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_CONFIG = """{
   "theta": 320,
@@ -48,6 +58,31 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"thetas": 1}))
     assert cli.main(["--config", str(cfg), "--show-config"]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_rejects_malformed_json(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{")
+    assert cli.main(["--config", str(cfg), "--show-config"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_readme_configuration_block_matches_show_config(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert cli.main(["--show-config"]) == 0
+    assert capsys.readouterr().out == block
+
+
+def test_traced_benchmark_targets_resolve_on_package():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.TARGETS:
+        assert callable(getattr(getattr(evso, module_name), attr)), (
+            module_name, attr)
 
 
 def test_no_command_prints_help(capsys):
@@ -199,3 +234,130 @@ def test_simulate_writes_session_csv(tmp_path, capsys):
 def test_missing_input_reports_error(tmp_path, capsys):
     assert cli.main(["analyze", str(tmp_path / "nope.y4m")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+TREE_ENTRIES = ("manifest.mpd", "quality_report.json", "schedule.json",
+                "segments")
+
+
+def _tree_bytes(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_forced_pipeline_replaces_tree_of_longer_clip(tmp_path, capsys):
+    # Zero thresholds cut wherever the chunk is already longer than a second.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0, "beta": 0}))
+    cfg = str(cfg)
+    long_clip = _synth_clip(tmp_path, "long.y4m", count=90)
+    short_clip = _synth_clip(tmp_path, "short.y4m", count=20)
+    outdir = tmp_path / "tree"
+    assert cli.main(["--config", cfg, "pipeline", str(long_clip),
+                     str(outdir)]) == 0
+    assert len(os.listdir(outdir / "segments" / "low")) == 3
+    assert cli.main(["--config", cfg, "pipeline", str(short_clip),
+                     str(outdir), "--force"]) == 0
+    for level in ("baseline", "high", "medium", "low"):
+        assert os.listdir(outdir / "segments" / level) == ["chunk_000.y4m"]
+    manifest = (outdir / "manifest.mpd").read_bytes()
+    assert cli.main(["manifest", str(outdir)]) == 0
+    assert (outdir / "manifest.mpd").read_bytes() == manifest
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "long.y4m",
+                                            "short.y4m", "tree"]
+
+
+def test_failed_pipeline_leaves_old_tree_untouched(tmp_path, capsys,
+                                                   monkeypatch):
+    clip = _synth_clip(tmp_path)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
+    before = _tree_bytes(outdir)
+
+    def fail(*args, **kwargs):
+        raise errors.EvsoError("quality report failed")
+
+    monkeypatch.setattr("evso.vprocessor.quality_report", fail)
+    other = _synth_clip(tmp_path, "other.y4m", count=60)
+    capsys.readouterr()
+    assert cli.main(["pipeline", str(other), str(outdir), "--force"]) == 1
+    assert "quality report failed" in capsys.readouterr().err
+    assert _tree_bytes(outdir) == before
+    assert sorted(os.listdir(outdir)) == list(TREE_ENTRIES)
+    assert sorted(os.listdir(tmp_path)) == ["clip.y4m", "other.y4m", "tree"]
+
+
+def test_forced_pipeline_leaves_other_files_in_outdir(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    outdir = tmp_path / "tree"
+    outdir.mkdir()
+    (outdir / "notes.txt").write_text("mine")
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 1
+    for _ in range(2):
+        assert cli.main(["pipeline", str(clip), str(outdir), "--force"]) == 0
+        assert (outdir / "notes.txt").read_text() == "mine"
+        assert sorted(os.listdir(outdir)) == sorted(TREE_ENTRIES
+                                                    + ("notes.txt",))
+
+
+def test_forced_pipeline_into_current_dir_keeps_the_clip(tmp_path, capsys,
+                                                         monkeypatch):
+    clip = _synth_clip(tmp_path)
+    data = clip.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert cli.main(["pipeline", "clip.y4m", ".", "--force"]) == 0
+        assert clip.read_bytes() == data
+        assert sorted(os.listdir(tmp_path)) == sorted(TREE_ENTRIES
+                                                      + ("clip.y4m",))
+    manifest = (tmp_path / "manifest.mpd").read_bytes()
+    assert cli.main(["manifest", "."]) == 0
+    assert (tmp_path / "manifest.mpd").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("stop", [signal.SIGTERM, signal.SIGINT])
+def test_serve_announces_port_at_once_and_stops_on_signal(tmp_path, stop):
+    (tmp_path / "manifest.mpd").write_text("<MPD/>")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    # Started from a script in the background, a server inherits SIGINT
+    # ignored; it must still stop on it.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evso.cli", "serve", str(tmp_path),
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready, "no serving line within 5 s"
+        line = proc.stdout.readline().decode()
+        url = line.rsplit(" at ", 1)[1].strip()
+        with urllib.request.urlopen(url + "manifest.mpd", timeout=5) as resp:
+            assert resp.read() == b"<MPD/>"
+        proc.send_signal(stop)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_manifest_lists_segments_in_chunk_order_past_999(tmp_path):
+    count = 1001
+    chunks = [{"start": i, "end": i + 1, "sigma": 0.0, "rates": {}}
+              for i in range(count)]
+    (tmp_path / "schedule.json").write_text(json.dumps(
+        {"frame_count": count, "fps": "30", "gamma": "30", "chunks": chunks}))
+    level_dir = tmp_path / "segments" / "baseline"
+    level_dir.mkdir(parents=True)
+    for i in range(count):
+        (level_dir / f"chunk_{i:03d}.y4m").write_bytes(
+            b"YUV4MPEG2 W16 H16 F30:1 Cmono\n")
+    assert cli.main(["manifest", str(tmp_path)]) == 0
+    parsed = evso.parse_xml((tmp_path / "manifest.mpd").read_bytes())
+    urls = parsed.video_sets()[0].representations[0].segment_urls
+    assert urls == tuple(f"segments/baseline/chunk_{i:03d}.y4m"
+                         for i in range(count))

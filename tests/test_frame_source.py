@@ -135,6 +135,30 @@ def test_y4m_malformed_headers_rejected():
         read_y4m(b"YUV4MPEG2 W16 H16 F30:1 Cmono\nBOGUS\n" + bytes(256))
 
 
+@pytest.mark.parametrize("header", [b"YUV4MPEG2 Wx H16 F30:1\n",
+                                    b"YUV4MPEG2 W16 H1.5 F30:1\n",
+                                    b"YUV4MPEG2 W16 H16 Fa:1\n",
+                                    b"YUV4MPEG2 W16 H16 F30:0\n"])
+def test_y4m_non_numeric_tags_are_malformed_headers(header):
+    with pytest.raises(MalformedHeader):
+        read_y4m(header)
+
+
+def _odd_luma(w, h):
+    return (np.arange(w * h) % 251).astype(np.uint8).reshape(h, w)
+
+
+def test_y4m_odd_sized_420_rounds_chroma_up():
+    w, h = 33, 17
+    luma = _odd_luma(w, h)
+    chroma = bytes([99]) * (17 * 9 * 2)
+    blob = b"YUV4MPEG2 W33 H17 F30:1 Ip A1:1 C420jpeg\n"
+    blob += (b"FRAME\n" + luma.tobytes() + chroma) * 2
+    seq = read_y4m(blob)
+    assert len(seq) == 2
+    assert np.array_equal(seq[1].y_plane, luma)
+
+
 def test_y4m_truncated_payload_rejected():
     seq = synth_static(FrameDims(16, 16), 2, 0)
     data = encode_y4m(list(seq), seq.fps)
@@ -164,6 +188,16 @@ def test_raw_yuv_i420_keeps_luma_only(tmp_path):
     chroma = bytes([128]) * (8 * 8 * 2)
     path = tmp_path / "clip.yuv"
     path.write_bytes((luma.tobytes() + chroma) * 3)
+    back = read_raw_yuv(path, dims, 24, "I420")
+    assert len(back) == 3
+    assert np.array_equal(back[2].y_plane, luma)
+
+
+def test_raw_yuv_i420_odd_size_rounds_chroma_up(tmp_path):
+    dims = FrameDims(33, 17)
+    luma = _odd_luma(33, 17)
+    path = tmp_path / "clip.yuv"
+    path.write_bytes((luma.tobytes() + bytes([128]) * (17 * 9 * 2)) * 3)
     back = read_raw_yuv(path, dims, 24, "I420")
     assert len(back) == 3
     assert np.array_equal(back[2].y_plane, luma)

@@ -50,14 +50,6 @@ def test_rolling_stats_matches_naive_reference():
         assert got_sigma == pytest.approx(sigma, rel=1e-12)
 
 
-def test_rolling_stats_normalized_mean_switch():
-    cfg = SplitConfig(normalized_mean=True)
-    mean, sigma = rolling_stats([100] * 20, 10, cfg)
-    assert mean == pytest.approx(100.0, abs=1e-12)
-    assert sigma == pytest.approx(0.0, abs=1e-12)
-    assert statistics.stdev([100.0] * 9) == 0.0
-
-
 def test_rolling_stats_window_bounds():
     diffs = [0] * 15
     rolling_stats(diffs, 10)
@@ -244,3 +236,17 @@ def test_schedule_transition_fixture_rates_capped():
     expected_low = (48 * 27.9 + 2 * 12.9) / 50 + 0.0001 * middle.sigma
     assert middle.rates["evso_plus_plus"] == pytest.approx(
         expected_low, rel=1e-12)
+
+
+def test_schedule_rates_one_frame_final_chunk_from_entering_pair():
+    series = _series([0] * 358 + [16000], dims=BIG)
+    assert list(split(series)) == [ChunkRange(0, 359), ChunkRange(359, 360)]
+    sched = schedule(series)
+    last = sched.entries[-1]
+    assert last.range == ChunkRange(359, 360)
+    assert last.sigma == 0.0
+    assert last.rates["evso"] == pytest.approx(30.0, abs=1e-9)
+    assert last.rates["evso_plus_plus"] == pytest.approx(27.9, abs=1e-9)
+    assert sched.entries[0].rates["evso"] == pytest.approx(18.0, abs=1e-9)
+    with pytest.raises(ChunkTooSmall):
+        evf(series, last.range, default_profiles()["evso"], Fraction(30))

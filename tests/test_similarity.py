@@ -8,6 +8,7 @@ from evso.errors import (
     BlockOutOfRange,
     DegenerateInput,
     DimsMismatch,
+    FrameTooSmall,
     TooFewFrames,
 )
 from evso.frame_source import FrameDims, synth_moving_block, synth_noise
@@ -92,6 +93,13 @@ def test_dims_mismatch_rejected():
                lambda: ssim(a, b), lambda: sad_y_macroblock(a, b, 0, 0)):
         with pytest.raises(DimsMismatch):
             fn()
+
+
+def test_ssim_rejects_planes_smaller_than_its_window():
+    for shape in ((7, 16), (16, 7)):
+        a = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(FrameTooSmall):
+            ssim(a, a)
 
 
 def _naive_ssim(a, b):

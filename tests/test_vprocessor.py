@@ -183,3 +183,31 @@ def test_quality_report_motion_loses_similarity():
     assert len(report.per_chunk_mean_ssim) == 1
     baseline = decimate_uniform(seq, 30)
     assert quality_report(baseline, seq).mean_ssim == 1.0
+
+
+@pytest.mark.parametrize("ranges", [((0, 7), (7, 20)), ((7, 20), (0, 7))])
+def test_quality_report_scores_only_dropped_frames_against_held_plane(
+        monkeypatch, ranges):
+    seq = synth_moving_block(FrameDims(64, 64), 20, 16, 8, 235, 16, fps=30)
+    video = restrict_to_chunks(decimate_uniform(seq, 10),
+                               tuple(ChunkRange(*r) for r in ranges))
+    held = hold_sequence(video, seq)
+    calls = []
+
+    def fake_ssim(a, b):
+        calls.append((a, b))
+        return 0.5
+
+    monkeypatch.setattr("evso.vprocessor.ssim", fake_ssim)
+    report = quality_report(video, seq)
+    kept = set(video.kept_indices)
+    dropped = [pos for pos in range(20) if pos not in kept]
+    assert len(calls) == len(dropped) == report.dropped_count
+    scored = [pos for start, end in ranges for pos in range(start, end)
+              if pos in dropped]
+    for pos, (a, b) in zip(scored, calls):
+        assert np.array_equal(a, held[pos].y_plane)
+        assert b is seq[pos].y_plane
+    for (start, end), mean in zip(ranges, report.per_chunk_mean_ssim):
+        scores = [0.5 if pos in dropped else 1.0 for pos in range(start, end)]
+        assert mean == pytest.approx(sum(scores) / len(scores))

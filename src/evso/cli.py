@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import empd, frame_source, fscheduler, similarity, stream_sim, vprocessor
 from .empd import EvsoLevel
-from .errors import EvsoError
+from .errors import EvsoError, MalformedDocument
 from .frame_source import FrameDims, FrameSequence, as_fps
 from .fscheduler import PROFILE_FACTORS, RateProfile, ScheduleConfig, SplitConfig
 from .similarity import DiffSeries, PairDiff, SimilarityConfig
@@ -170,13 +170,16 @@ def _series_to_doc(series: DiffSeries) -> dict:
 
 
 def _series_from_doc(doc: dict) -> DiffSeries:
-    pairs = tuple(
-        PairDiff(index=p["index"], m_diff=p["m_diff"],
-                 y_diff=p.get("y_diff", 0), ssim=p.get("ssim"))
-        for p in doc["pairs"]
-    )
-    return DiffSeries(dims=FrameDims(doc["width"], doc["height"]),
-                      fps=Fraction(doc["fps"]), pairs=pairs)
+    try:
+        pairs = tuple(
+            PairDiff(index=p["index"], m_diff=p["m_diff"],
+                     y_diff=p.get("y_diff", 0), ssim=p.get("ssim"))
+            for p in doc["pairs"]
+        )
+        return DiffSeries(dims=FrameDims(doc["width"], doc["height"]),
+                          fps=Fraction(doc["fps"]), pairs=pairs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocument(f"not an analysis document: {exc!r}") from None
 
 
 def _obtain_series(args, config: PipelineConfig) -> DiffSeries:
@@ -210,17 +213,20 @@ def _schedule_to_doc(sched: fscheduler.RateSchedule) -> dict:
 
 
 def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
-    entries = tuple(
-        fscheduler.ChunkScheduleEntry(
-            range=fscheduler.ChunkRange(c["start"], c["end"]),
-            sigma=c["sigma"], rates=dict(c["rates"]),
+    try:
+        entries = tuple(
+            fscheduler.ChunkScheduleEntry(
+                range=fscheduler.ChunkRange(c["start"], c["end"]),
+                sigma=c["sigma"], rates=dict(c["rates"]),
+            )
+            for c in doc["chunks"]
         )
-        for c in doc["chunks"]
-    )
-    return fscheduler.RateSchedule(
-        entries=entries, frame_count=doc["frame_count"],
-        fps=Fraction(doc["fps"]), gamma=Fraction(doc["gamma"]),
-    )
+        return fscheduler.RateSchedule(
+            entries=entries, frame_count=doc["frame_count"],
+            fps=Fraction(doc["fps"]), gamma=Fraction(doc["gamma"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocument(f"not a schedule document: {exc!r}") from None
 
 
 def _dump_json(doc: dict) -> str:

@@ -9,6 +9,10 @@ class EvsoError(Exception):
     """Base class for all evso errors."""
 
 
+class MalformedDocument(EvsoError):
+    """An analysis, schedule or trace document lacks a field or has a bad one."""
+
+
 # --- ingestion -------------------------------------------------------------
 
 class MalformedHeader(EvsoError):
@@ -70,7 +74,7 @@ class InvalidRate(EvsoError):
 
 
 class ScheduleMismatch(EvsoError):
-    """Schedule was derived from a sequence of a different length."""
+    """Schedule does not fit the sequence or lacks the requested profile."""
 
 
 # --- manifest --------------------------------------------------------------

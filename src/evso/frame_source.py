@@ -185,7 +185,7 @@ def _readline(stream: BinaryIO, limit: int = 1024) -> bytes:
 
 
 def _parse_signature(header: bytes):
-    """Width, height, fps and color space from a YUV4MPEG2 signature line."""
+    """Frame dims, fps and color space from a YUV4MPEG2 signature line."""
     if not header.startswith(b"YUV4MPEG2"):
         raise MalformedHeader("missing YUV4MPEG2 signature")
     width = height = None
@@ -209,14 +209,17 @@ def _parse_signature(header: bytes):
         raise MalformedHeader("header lacks one of W/H/F")
     if fps <= 0:
         raise MalformedHeader("non-positive frame rate")
-    return width, height, fps, color
+    try:
+        return FrameDims(width, height), fps, color
+    except ValueError as exc:
+        raise MalformedHeader(str(exc)) from None
 
 
 def sniff_y4m(path) -> tuple:
     """Read just the signature of a Y4M file: (dims, fps)."""
     with open(path, "rb") as fh:
-        width, height, fps, _ = _parse_signature(_readline(fh))
-    return FrameDims(width, height), fps
+        dims, fps, _ = _parse_signature(_readline(fh))
+    return dims, fps
 
 
 def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
@@ -228,7 +231,8 @@ def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
     planes of each frame are skipped.
     """
     stream = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
-    width, height, fps, color = _parse_signature(_readline(stream))
+    dims, fps, color = _parse_signature(_readline(stream))
+    width, height = dims.width, dims.height
 
     if color == "mono":
         chroma_bytes = 0
@@ -237,7 +241,6 @@ def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
     else:
         raise UnsupportedColorSpace(f"color space {color!r}")
 
-    dims = FrameDims(width, height)
     luma_bytes = width * height
     planes = []
     while True:

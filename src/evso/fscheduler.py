@@ -126,7 +126,7 @@ def est(series: DiffSeries, n: int, chunk_start: int, gamma: Fraction,
     spike = series.m_diffs[n - 1] > cfg.beta
     if not (sigma > cfg.alpha or spike):
         return False
-    return Fraction(n - chunk_start) > gamma
+    return n - chunk_start > gamma
 
 
 def split(series: DiffSeries, gamma: Optional[Fraction] = None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -100,7 +101,7 @@ class DiffSeries:
     def frame_count(self) -> int:
         return len(self.pairs) + 1
 
-    @property
+    @cached_property
     def m_diffs(self) -> Tuple[int, ...]:
         return tuple(p.m_diff for p in self.pairs)
 

@@ -20,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from .empd import AdaptationSet, EmpdManifest, EvsoLevel, Representation
-from .errors import BindFailure, MissingManifest, NoVideoSets
+from .errors import BindFailure, MalformedDocument, MissingManifest, NoVideoSets
 
 
 class BatteryLevel(Enum):
@@ -114,11 +114,14 @@ def _read_trace(fh: TextIO) -> List[TracePoint]:
     points = []
     for row in csv.DictReader(fh):
         battery = row.get("battery_level")
-        points.append(TracePoint(
-            segment_index=int(row["segment_index"]),
-            bandwidth_bps=int(row["bandwidth_bps"]),
-            battery=parse_battery(battery) if battery else None,
-        ))
+        try:
+            points.append(TracePoint(
+                segment_index=int(row["segment_index"]),
+                bandwidth_bps=int(row["bandwidth_bps"]),
+                battery=parse_battery(battery) if battery else None,
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedDocument(f"not a trace CSV: {exc!r}") from None
     points.sort(key=lambda p: p.segment_index)
     return points
 

@@ -9,7 +9,6 @@ from rounding drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Tuple, Union
@@ -54,14 +53,9 @@ def retime_indices(frame_count: int, source_fps: Fraction,
             f"target rate {target} exceeds source rate {source_fps}"
         )
     ratio = target / source_fps
-    kept = []
-    prev_tick = 0  # ceil(0 * ratio)
-    for t in range(frame_count):
-        tick = math.ceil((t + 1) * ratio)  # exact: ratio is a Fraction
-        if tick > prev_tick:
-            kept.append(t)
-        prev_tick = tick
-    return tuple(kept)
+    # Output tick k lies in the interval of frame floor(k / ratio).
+    p, q = ratio.numerator, ratio.denominator
+    return tuple(k * q // p for k in range(-(-frame_count * p // q)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ def process(sequence: FrameSequence, rate_schedule: RateSchedule,
     chunks = []
     for entry in rate_schedule:
         if profile_name not in entry.rates:
-            raise ValueError(f"schedule has no profile {profile_name!r}")
+            raise ScheduleMismatch(f"schedule has no profile {profile_name!r}")
         target = snap_rate(entry.rates[profile_name])
         local = retime_indices(entry.range.frame_count, sequence.fps, target)
         chunks.append(ProcessedChunk(

@@ -231,6 +231,40 @@ def test_simulate_writes_session_csv(tmp_path, capsys):
     assert lines[1].split(",")[3] == "high"
 
 
+@pytest.mark.parametrize("pairs", [None, [{"index": 0, "y_diff": 5}],
+                                   [{"index": 0, "m_diff": 999}]])
+def test_split_rejects_malformed_analysis(tmp_path, capsys, pairs):
+    doc = {"width": 96, "height": 64, "fps": "30"}
+    if pairs is not None:
+        doc["pairs"] = pairs
+    analysis = tmp_path / "analysis.json"
+    analysis.write_text(json.dumps(doc))
+    assert cli.main(["split", "--analysis", str(analysis)]) == 1
+    assert "error: not an analysis document" in capsys.readouterr().err
+
+
+def test_manifest_rejects_schedule_lacking_chunks(tmp_path, capsys):
+    (tmp_path / "schedule.json").write_text(
+        json.dumps({"frame_count": 45, "fps": "30", "gamma": "30"}))
+    assert cli.main(["manifest", str(tmp_path)]) == 1
+    assert "error: not a schedule document" in capsys.readouterr().err
+
+
+def test_simulate_rejects_malformed_trace(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
+    trace = tmp_path / "trace.csv"
+    for text in ("segment_index,battery_level\n0,high\n",
+                 "bandwidth_bps\n1000000000\n",
+                 "segment_index,bandwidth_bps\nfirst,1000000000\n"):
+        trace.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["simulate", str(outdir / "manifest.mpd"),
+                         "--trace", str(trace)]) == 1
+        assert "error: not a trace CSV" in capsys.readouterr().err
+
+
 def test_missing_input_reports_error(tmp_path, capsys):
     assert cli.main(["analyze", str(tmp_path / "nope.y4m")]) == 1
     assert "error:" in capsys.readouterr().err

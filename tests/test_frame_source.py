@@ -138,7 +138,8 @@ def test_y4m_malformed_headers_rejected():
 @pytest.mark.parametrize("header", [b"YUV4MPEG2 Wx H16 F30:1\n",
                                     b"YUV4MPEG2 W16 H1.5 F30:1\n",
                                     b"YUV4MPEG2 W16 H16 Fa:1\n",
-                                    b"YUV4MPEG2 W16 H16 F30:0\n"])
+                                    b"YUV4MPEG2 W16 H16 F30:0\n",
+                                    b"YUV4MPEG2 W8 H8 F30:1\n"])
 def test_y4m_non_numeric_tags_are_malformed_headers(header):
     with pytest.raises(MalformedHeader):
         read_y4m(header)

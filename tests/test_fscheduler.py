@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,18 @@ def test_split_spike_inside_minimum_length_is_suppressed():
 def test_split_short_series_has_no_candidates():
     plan = split(_series([6400] * 8), gamma=Fraction(2))
     assert list(plan) == [ChunkRange(0, 9)]
+
+
+def test_split_time_is_linear_in_series_length():
+    # A beta spike every 97 pairs; each one cuts a chunk at the next frame.
+    rnd = random.Random(5)
+    diffs = [16000 if i % 97 == 0 else rnd.randint(0, 500)
+             for i in range(20000)]
+    series = _series(diffs, dims=BIG)
+    start = time.perf_counter()
+    plan = split(series, gamma=Fraction(30))
+    assert time.perf_counter() - start < 2.0
+    assert [c.start for c in plan][1:] == list(range(98, 20001, 97))
 
 
 def test_chunk_plan_validation():

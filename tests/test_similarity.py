@@ -160,6 +160,7 @@ def test_diff_series_covers_adjacent_pairs():
     assert series.frame_count == 10
     assert [p.index for p in series.pairs] == list(range(9))
     assert series.m_diffs == (2,) * 9
+    assert series.m_diffs is series.m_diffs
     assert all(p.ssim is not None and p.ssim < 1.0 for p in series.pairs)
     lazy = diff_series(seq)
     assert all(p.ssim is None for p in lazy.pairs)

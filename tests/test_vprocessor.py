@@ -55,10 +55,15 @@ def test_retime_invariants_over_random_rates():
     rnd = random.Random(99)
     for _ in range(300):
         count = rnd.randint(1, 400)
-        source = Fraction(rnd.choice([24, 25, 30, 60]))
+        source = Fraction(rnd.choice([24, 25, 30, 60, Fraction(30000, 1001)]))
         target = Fraction(rnd.randint(1, int(source) * 10), 10)
         kept = retime_indices(count, source, target)
+        assert retime_indices(count, source, float(target)) == kept
         ratio = target / source
+        # t is kept iff [t*r, (t+1)*r) holds an integer, the least one
+        # at or above t*r.
+        assert kept == tuple(t for t in range(count)
+                             if math.ceil(t * ratio) < (t + 1) * ratio)
         assert kept[0] == 0
         assert list(kept) == sorted(set(kept))
         assert kept[-1] < count
@@ -81,7 +86,7 @@ def test_process_static_clip_matches_scheduled_rates():
         assert video.kept_count == kept
         assert video.avg_frame_rate == pytest.approx(rate, abs=1e-9)
         assert video.chunks[0].kept_indices[0] == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ScheduleMismatch):
         process(seq, sched, "mystery")
 
 

@@ -57,17 +57,23 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise MalformedDocument("a config document must be a JSON object")
         merged = cls().to_dict()
         unknown = sorted(set(doc) - set(merged))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         merged.update(doc)
-        merged["profiles"] = {
-            name: RateProfile(name=name, s_factors=tuple(factors))
-            for name, factors in merged["profiles"].items()
-        }
-        return cls(*(kind(**{f.name: merged[f.name] for f in fields(kind)})
-                     for kind in (SimilarityConfig, SplitConfig, ScheduleConfig)))
+        try:
+            merged["profiles"] = {
+                name: RateProfile(name=name, s_factors=tuple(factors))
+                for name, factors in merged["profiles"].items()
+            }
+            return cls(*(kind(**{f.name: merged[f.name] for f in fields(kind)})
+                         for kind in (SimilarityConfig, SplitConfig,
+                                      ScheduleConfig)))
+        except (AttributeError, TypeError) as exc:
+            raise MalformedDocument(f"wrongly typed config value: {exc}") from None
 
 
 def format_config(doc: dict) -> str:
@@ -162,20 +168,21 @@ def _series_to_doc(series: DiffSeries) -> dict:
         "fps": str(series.fps),
         "frame_count": series.frame_count,
         "pairs": [
-            {"index": p.index, "m_diff": p.m_diff, "y_diff": p.y_diff,
+            {"index": i, "m_diff": p.m_diff, "y_diff": p.y_diff,
              "ssim": p.ssim}
-            for p in series.pairs
+            for i, p in enumerate(series.pairs)
         ],
     }
 
 
 def _series_from_doc(doc: dict) -> DiffSeries:
     try:
-        pairs = tuple(
-            PairDiff(index=p["index"], m_diff=p["m_diff"],
-                     y_diff=p.get("y_diff", 0), ssim=p.get("ssim"))
-            for p in doc["pairs"]
-        )
+        pairs = []
+        for pos, p in enumerate(doc["pairs"]):
+            if p["index"] != pos:
+                raise ValueError(f"pair at position {pos} has index {p['index']}")
+            pairs.append(PairDiff(m_diff=p["m_diff"], y_diff=p.get("y_diff", 0),
+                                  ssim=p.get("ssim")))
         return DiffSeries(dims=FrameDims(doc["width"], doc["height"]),
                           fps=Fraction(doc["fps"]), pairs=pairs)
     except (KeyError, TypeError, ValueError) as exc:

@@ -120,8 +120,9 @@ class EmpdManifest:
     def duration_seconds(self) -> Fraction:
         return sum((p.duration_seconds for p in self.periods), Fraction(0))
 
-    def video_sets(self, period_index: int = 0) -> Tuple[AdaptationSet, ...]:
-        return tuple(a for a in self.periods[period_index].adaptation_sets
+    def video_sets(self) -> Tuple[AdaptationSet, ...]:
+        """The video sets of the first period, the one a session plays."""
+        return tuple(a for a in self.periods[0].adaptation_sets
                      if a.content_type == "video")
 
 
@@ -273,28 +274,30 @@ def parse_xml(data: Union[bytes, str]) -> EmpdManifest:
 
     Video sets without an EVSOLevel attribute become baseline; adaptation
     sets with foreign content types or no representations are skipped.
+    A bad or out-of-range value, such as bandwidth="zz" or "-5", raises
+    MalformedXml.
     """
+    periods = []
     try:
         root = ET.fromstring(data)
+        if _localname(root.tag) != "MPD":
+            raise MalformedXml(f"root element {root.tag!r} is not MPD")
+        for p_node in root:
+            if _localname(p_node.tag) != "Period":
+                continue
+            sets = []
+            for a_node in p_node:
+                if _localname(a_node.tag) != "AdaptationSet":
+                    continue
+                aset = _parse_adaptation_set(a_node)
+                if aset is not None:
+                    sets.append(aset)
+            periods.append(Period(
+                duration_seconds=_parse_duration(p_node.get("duration")),
+                adaptation_sets=tuple(sets),
+            ))
     except (ET.ParseError, ValueError) as exc:
         raise MalformedXml(str(exc)) from exc
-    if _localname(root.tag) != "MPD":
-        raise MalformedXml(f"root element {root.tag!r} is not MPD")
-    periods = []
-    for p_node in root:
-        if _localname(p_node.tag) != "Period":
-            continue
-        sets = []
-        for a_node in p_node:
-            if _localname(a_node.tag) != "AdaptationSet":
-                continue
-            aset = _parse_adaptation_set(a_node)
-            if aset is not None:
-                sets.append(aset)
-        periods.append(Period(
-            duration_seconds=_parse_duration(p_node.get("duration")),
-            adaptation_sets=tuple(sets),
-        ))
     if not periods:
         raise MalformedXml("manifest has no Period elements")
     return EmpdManifest(periods=tuple(periods))

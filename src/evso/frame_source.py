@@ -9,9 +9,9 @@ whole pipeline without float drift.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import BinaryIO, Iterable, Iterator, Sequence, Union
+from typing import BinaryIO, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -47,8 +47,10 @@ def as_fps(value: FpsLike) -> Fraction:
     elif isinstance(value, str):
         text = value.strip()
         if "/" in text:
-            num, den = text.split("/", 1)
-            fps = Fraction(int(num), int(den))
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise ValueError(f"frame rate {value!r} has a zero denominator")
+            fps = Fraction(num, den)
         else:
             fps = Fraction(text)
     else:
@@ -94,49 +96,36 @@ class FrameDims:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One decoded luma plane. The pixel array is locked read-only."""
-
-    dims: FrameDims
-    y_plane: np.ndarray
-    index: int
-
-    def __post_init__(self) -> None:
-        plane = np.asarray(self.y_plane, dtype=np.uint8)
-        if plane.size != self.dims.pixels:
-            raise ValueError(
-                f"y_plane has {plane.size} samples, expected {self.dims.pixels}"
-            )
-        plane = plane.reshape(self.dims.height, self.dims.width)
-        plane.setflags(write=False)
-        object.__setattr__(self, "y_plane", plane)
-
-
-@dataclass(frozen=True)
 class FrameSequence:
-    """Ordered frames sharing one geometry and one nominal frame rate."""
+    """Ordered luma planes sharing one shape and one nominal frame rate.
+
+    Each frame is a read-only (H, W) uint8 plane at least one macroblock
+    each way. The sequence locks views of the arrays it is given, so the
+    caller's own arrays stay writable.
+    """
 
     frames: tuple
     fps: Fraction
-    source_label: str = ""
 
     def __post_init__(self) -> None:
-        frames = tuple(self.frames)
+        frames = tuple(np.asarray(plane, dtype=np.uint8).view()
+                       for plane in self.frames)
+        for plane in frames:
+            plane.setflags(write=False)
+            if plane.ndim != 2 or plane.shape != frames[0].shape:
+                raise ValueError(f"planes must share one 2-D shape, got "
+                                 f"{plane.shape} and {frames[0].shape}")
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "fps", as_fps(self.fps))
-        for pos, frame in enumerate(frames):
-            if frame.index != pos:
-                raise ValueError(
-                    f"frame at position {pos} carries index {frame.index}"
-                )
-            if frame.dims != frames[0].dims:
-                raise ValueError("frames do not share identical dims")
+        if frames:
+            self.dims  # FrameDims rejects planes under one macroblock
 
     @property
     def dims(self) -> FrameDims:
         if not self.frames:
             raise ValueError("empty sequence has no dims")
-        return self.frames[0].dims
+        height, width = self.frames[0].shape
+        return FrameDims(width, height)
 
     @property
     def duration_seconds(self) -> Fraction:
@@ -145,19 +134,11 @@ class FrameSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __iter__(self) -> Iterator[Frame]:
+    def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.frames)
 
-    def __getitem__(self, index: int) -> Frame:
+    def __getitem__(self, index: int) -> np.ndarray:
         return self.frames[index]
-
-
-def _sequence(planes: Iterable[np.ndarray], dims: FrameDims, fps: FpsLike,
-              label: str) -> FrameSequence:
-    frames = tuple(
-        Frame(dims=dims, y_plane=plane, index=i) for i, plane in enumerate(planes)
-    )
-    return FrameSequence(frames=frames, fps=as_fps(fps), source_label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +243,23 @@ def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
                     f"{chroma_bytes - len(chroma)} bytes"
                 )
         planes.append(np.frombuffer(payload, dtype=np.uint8).reshape(height, width))
-    return _sequence(planes, dims, fps, "y4m")
+    return FrameSequence(frames=planes, fps=fps)
 
 
-def encode_y4m(frames: Sequence[Frame], fps: FpsLike) -> bytes:
-    """Serialize luma frames as a mono YUV4MPEG2 stream."""
-    if not frames:
+def encode_y4m(planes: Sequence[np.ndarray], fps: FpsLike) -> bytes:
+    """Serialize (H, W) uint8 luma planes as a mono YUV4MPEG2 stream."""
+    if not planes:
         raise ValueError("cannot encode an empty frame list")
-    dims = frames[0].dims
+    height, width = planes[0].shape
     rate = as_fps(fps)
     out = bytearray()
     out += (
-        f"YUV4MPEG2 W{dims.width} H{dims.height} "
+        f"YUV4MPEG2 W{width} H{height} "
         f"F{rate.numerator}:{rate.denominator} Ip A1:1 Cmono\n"
     ).encode("ascii")
-    for frame in frames:
+    for plane in planes:
         out += b"FRAME\n"
-        out += frame.y_plane.tobytes()
+        out += plane.tobytes()
     return bytes(out)
 
 
@@ -314,7 +295,7 @@ def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSeque
         ).reshape(dims.height, dims.width)
         for i in range(len(data) // frame_bytes)
     ]
-    return _sequence(planes, dims, fps, f"raw:{layout.lower()}")
+    return FrameSequence(frames=planes, fps=fps)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +310,7 @@ def synth_static(dims: FrameDims, count: int, luma_value: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     plane = np.full((dims.height, dims.width), luma_value, dtype=np.uint8)
-    return _sequence((plane for _ in range(count)), dims, fps, "synth:static")
+    return FrameSequence(frames=(plane,) * count, fps=fps)
 
 
 def _bounce(step: int, span: int) -> int:
@@ -362,7 +343,7 @@ def synth_moving_block(dims: FrameDims, count: int, block_edge: int,
         plane = np.full((dims.height, dims.width), bg_luma, dtype=np.uint8)
         plane[0:block_edge, x:x + block_edge] = fg_luma
         planes.append(plane)
-    return _sequence(planes, dims, fps, "synth:moving_block")
+    return FrameSequence(frames=planes, fps=fps)
 
 
 def synth_noise(dims: FrameDims, count: int, seed: int, amplitude: int,
@@ -381,7 +362,7 @@ def synth_noise(dims: FrameDims, count: int, seed: int, amplitude: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     block = rng.integers(0, amplitude + 1, size=(count, dims.height, dims.width),
                          dtype=np.uint8)
-    return _sequence((block[t] for t in range(count)), dims, fps, "synth:noise")
+    return FrameSequence(frames=tuple(block), fps=fps)
 
 
 # ---------------------------------------------------------------------------

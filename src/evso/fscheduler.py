@@ -10,6 +10,7 @@ over its diff magnitudes plus a small variance bonus.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
@@ -48,6 +49,8 @@ class SplitConfig:
     k_window: int = DEFAULT_K_WINDOW
 
     def __post_init__(self) -> None:
+        if not isinstance(self.k_window, numbers.Integral):
+            raise TypeError(f"k_window must be an integer, got {self.k_window!r}")
         if self.k_window < 2:
             raise ValueError(f"k_window must be >= 2, got {self.k_window}")
         if self.alpha < 0 or self.beta < 0:

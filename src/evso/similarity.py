@@ -24,7 +24,7 @@ from .errors import (
     FrameTooSmall,
     TooFewFrames,
 )
-from .frame_source import MACROBLOCK_EDGE, Frame, FrameDims, FrameSequence
+from .frame_source import MACROBLOCK_EDGE, FrameDims, FrameSequence
 
 #: Per-macroblock SAD threshold: a block is "changed" only strictly above it.
 DEFAULT_THETA = 320
@@ -50,9 +50,8 @@ class SimilarityConfig:
 
 
 class PairDiff(NamedTuple):
-    """Difference measures for the adjacent pair (frame i, frame i+1)."""
+    """Difference measures for one adjacent pair of frames."""
 
-    index: int
     m_diff: int
     y_diff: int
     ssim: Optional[float] = None
@@ -78,8 +77,6 @@ class DiffSeries:
             raise ValueError("a diff series needs at least one pair")
         grid = self.dims.mb_rows * self.dims.mb_cols
         for pos, pair in enumerate(pairs):
-            if pair.index != pos:
-                raise ValueError(f"pair at position {pos} carries index {pair.index}")
             if not 0 <= pair.m_diff <= grid:
                 raise ValueError(
                     f"pair {pos}: m_diff {pair.m_diff} outside [0, {grid}]"
@@ -91,10 +88,7 @@ class DiffSeries:
     def from_m_diffs(cls, m_diffs: Sequence[int], dims: FrameDims,
                      fps: Union[int, Fraction] = 30) -> "DiffSeries":
         """Wrap bare changed-block counts; y_diff is filled with zeros."""
-        pairs = tuple(
-            PairDiff(index=i, m_diff=int(d), y_diff=0)
-            for i, d in enumerate(m_diffs)
-        )
+        pairs = tuple(PairDiff(m_diff=int(d), y_diff=0) for d in m_diffs)
         return cls(dims=dims, fps=Fraction(fps), pairs=pairs)
 
     @property
@@ -106,40 +100,34 @@ class DiffSeries:
         return tuple(p.m_diff for p in self.pairs)
 
 
-def _plane(frame: Union[Frame, np.ndarray]) -> np.ndarray:
-    return frame.y_plane if isinstance(frame, Frame) else np.asarray(frame)
-
-
 def _check_same_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimsMismatch(f"frame shapes differ: {a.shape} vs {b.shape}")
 
 
-def sad_y_macroblock(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray],
+def sad_y_macroblock(a: np.ndarray, b: np.ndarray,
                      mb_row: int, mb_col: int) -> int:
     """Sum of absolute luma differences over one 16x16 macroblock."""
-    pa, pb = _plane(a), _plane(b)
-    _check_same_dims(pa, pb)
-    rows, cols = pa.shape[0] // MACROBLOCK_EDGE, pa.shape[1] // MACROBLOCK_EDGE
+    _check_same_dims(a, b)
+    rows, cols = a.shape[0] // MACROBLOCK_EDGE, a.shape[1] // MACROBLOCK_EDGE
     if not (0 <= mb_row < rows and 0 <= mb_col < cols):
         raise BlockOutOfRange(
             f"macroblock ({mb_row}, {mb_col}) outside {rows}x{cols} grid"
         )
     r0, c0 = mb_row * MACROBLOCK_EDGE, mb_col * MACROBLOCK_EDGE
-    block_a = pa[r0:r0 + MACROBLOCK_EDGE, c0:c0 + MACROBLOCK_EDGE].astype(np.int64)
-    block_b = pb[r0:r0 + MACROBLOCK_EDGE, c0:c0 + MACROBLOCK_EDGE].astype(np.int64)
+    block_a = a[r0:r0 + MACROBLOCK_EDGE, c0:c0 + MACROBLOCK_EDGE].astype(np.int64)
+    block_b = b[r0:r0 + MACROBLOCK_EDGE, c0:c0 + MACROBLOCK_EDGE].astype(np.int64)
     return int(np.abs(block_a - block_b).sum())
 
 
-def d_y(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray],
-        mb_row: int, mb_col: int,
+def d_y(a: np.ndarray, b: np.ndarray, mb_row: int, mb_col: int,
         config: Optional[SimilarityConfig] = None) -> int:
     """1 when the macroblock SAD strictly exceeds theta, else 0."""
     theta = (config or SimilarityConfig()).theta
     return 1 if sad_y_macroblock(a, b, mb_row, mb_col) > theta else 0
 
 
-def m_diff(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray],
+def m_diff(a: np.ndarray, b: np.ndarray,
            config: Optional[SimilarityConfig] = None) -> int:
     """Count of changed macroblocks between two frames.
 
@@ -147,23 +135,21 @@ def m_diff(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray],
     bottom edges are ignored. Equality with theta does not count as changed.
     """
     theta = (config or SimilarityConfig()).theta
-    pa, pb = _plane(a), _plane(b)
-    _check_same_dims(pa, pb)
-    rows, cols = pa.shape[0] // MACROBLOCK_EDGE, pa.shape[1] // MACROBLOCK_EDGE
+    _check_same_dims(a, b)
+    rows, cols = a.shape[0] // MACROBLOCK_EDGE, a.shape[1] // MACROBLOCK_EDGE
     if rows == 0 or cols == 0:
         return 0
     core_h, core_w = rows * MACROBLOCK_EDGE, cols * MACROBLOCK_EDGE
-    diff = np.abs(pa.astype(np.int16) - pb.astype(np.int16))[:core_h, :core_w]
+    diff = np.abs(a.astype(np.int16) - b.astype(np.int16))[:core_h, :core_w]
     sads = diff.reshape(rows, MACROBLOCK_EDGE, cols, MACROBLOCK_EDGE).sum(
         axis=(1, 3), dtype=np.int64)
     return int(np.count_nonzero(sads > theta))
 
 
-def y_diff(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray]) -> int:
+def y_diff(a: np.ndarray, b: np.ndarray) -> int:
     """Whole-plane SAD, edge pixels included."""
-    pa, pb = _plane(a), _plane(b)
-    _check_same_dims(pa, pb)
-    return int(np.abs(pa.astype(np.int64) - pb.astype(np.int64)).sum())
+    _check_same_dims(a, b)
+    return int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum())
 
 
 def _window_sums(values: np.ndarray, edge: int) -> np.ndarray:
@@ -174,7 +160,7 @@ def _window_sums(values: np.ndarray, edge: int) -> np.ndarray:
             - padded[edge:, :-edge] + padded[:-edge, :-edge])
 
 
-def ssim(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray]) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity over 8x8 uniform windows, luma only.
 
     Windows slide with stride 1 and only fully interior positions count.
@@ -182,13 +168,13 @@ def ssim(a: Union[Frame, np.ndarray], b: Union[Frame, np.ndarray]) -> float:
     float64; the stabilizers use the standard (0.01*255)^2 and (0.03*255)^2.
     Identical inputs score exactly 1.0.
     """
-    pa = _plane(a).astype(np.float64)
-    pb = _plane(b).astype(np.float64)
-    _check_same_dims(pa, pb)
-    if pa.shape[0] < _SSIM_EDGE or pa.shape[1] < _SSIM_EDGE:
+    _check_same_dims(a, b)
+    if a.shape[0] < _SSIM_EDGE or a.shape[1] < _SSIM_EDGE:
         raise FrameTooSmall(
-            f"plane {pa.shape} smaller than an {_SSIM_EDGE}x{_SSIM_EDGE} window"
+            f"plane {a.shape} smaller than an {_SSIM_EDGE}x{_SSIM_EDGE} window"
         )
+    pa = a.astype(np.float64)
+    pb = b.astype(np.float64)
     area = float(_SSIM_EDGE * _SSIM_EDGE)
     s_a = _window_sums(pa, _SSIM_EDGE)
     s_b = _window_sums(pb, _SSIM_EDGE)
@@ -216,7 +202,6 @@ def diff_series(sequence: FrameSequence,
     for i in range(len(sequence) - 1):
         a, b = sequence[i], sequence[i + 1]
         pairs.append(PairDiff(
-            index=i,
             m_diff=m_diff(a, b, cfg),
             y_diff=y_diff(a, b),
             ssim=ssim(a, b) if with_ssim else None,

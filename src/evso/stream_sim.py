@@ -20,7 +20,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from .empd import AdaptationSet, EmpdManifest, EvsoLevel, Representation
-from .errors import BindFailure, MalformedDocument, MissingManifest, NoVideoSets
+from .errors import (BindFailure, InvariantViolation, MalformedDocument,
+                     MissingManifest, NoVideoSets)
 
 
 class BatteryLevel(Enum):
@@ -61,8 +62,8 @@ def parse_battery(text: str) -> BatteryLevel:
 
 
 def select_representation(
-        manifest: EmpdManifest, state: ClientState,
-        period_index: int = 0) -> Tuple[AdaptationSet, Representation]:
+        manifest: EmpdManifest,
+        state: ClientState) -> Tuple[AdaptationSet, Representation]:
     """Pick the adaptation set and representation for one client state.
 
     The set is the one matching the battery's level, or failing that the
@@ -70,7 +71,7 @@ def select_representation(
     bandwidth not above the client's wins; if even the cheapest is above,
     the cheapest wins. Ties keep manifest order.
     """
-    sets = manifest.video_sets(period_index)
+    sets = manifest.video_sets()
     if not sets:
         raise NoVideoSets("manifest has no video adaptation sets")
     by_level = {}
@@ -155,9 +156,9 @@ class SessionLog:
         return buf.getvalue()
 
 
-def segment_count(manifest: EmpdManifest, period_index: int = 0) -> int:
+def segment_count(manifest: EmpdManifest) -> int:
     """Session length: segments in the first video set's first representation."""
-    sets = manifest.video_sets(period_index)
+    sets = manifest.video_sets()
     if not sets:
         raise NoVideoSets("manifest has no video adaptation sets")
     return len(sets[0].representations[0].segment_urls)
@@ -165,15 +166,16 @@ def segment_count(manifest: EmpdManifest, period_index: int = 0) -> int:
 
 def simulate_session(manifest: EmpdManifest, trace: Sequence[TracePoint],
                      default_battery: BatteryLevel = BatteryLevel.HIGH,
-                     default_bandwidth: int = 10 ** 9,
-                     period_index: int = 0) -> SessionLog:
+                     default_bandwidth: int = 10 ** 9) -> SessionLog:
     """Select one representation per segment under a condition trace.
 
     Trace points take effect at their segment index and hold until the next
     point; segments before the first point use the defaults. A battery left
-    blank in a point keeps the battery already in effect.
+    blank in a point keeps the battery already in effect. A representation
+    shorter than the session repeats its last segment; one with no segment
+    at all raises InvariantViolation.
     """
-    count = segment_count(manifest, period_index)
+    count = segment_count(manifest)
     points = sorted(trace, key=lambda p: p.segment_index)
     rows = []
     bandwidth = default_bandwidth
@@ -185,10 +187,11 @@ def simulate_session(manifest: EmpdManifest, trace: Sequence[TracePoint],
             if points[cursor].battery is not None:
                 battery = points[cursor].battery
             cursor += 1
-        aset, rep = select_representation(
-            manifest, ClientState(bandwidth, battery), period_index)
-        url = (rep.segment_urls[index] if index < len(rep.segment_urls)
-               else rep.segment_urls[-1])
+        aset, rep = select_representation(manifest,
+                                          ClientState(bandwidth, battery))
+        if not rep.segment_urls:
+            raise InvariantViolation(f"representation {rep.id!r} lists no segments")
+        url = rep.segment_urls[min(index, len(rep.segment_urls) - 1)]
         rows.append(SessionRow(
             segment_index=index, battery=battery, bandwidth_bps=bandwidth,
             selected_level=aset.evso_level, representation_id=rep.id,
@@ -266,7 +269,7 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
 
     try:
         server = ThreadingHTTPServer((host, port), Handler)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:
         raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

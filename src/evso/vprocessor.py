@@ -16,7 +16,7 @@ from typing import Iterator, List, Tuple, Union
 import numpy as np
 
 from .errors import InvalidRate, ScheduleMismatch
-from .frame_source import Frame, FrameSequence, encode_y4m
+from .frame_source import FrameSequence, encode_y4m
 from .fscheduler import ChunkRange, RateSchedule
 from .similarity import ssim
 
@@ -174,7 +174,7 @@ def _held_planes(video: ProcessedVideo,
     for pos in range(len(sequence)):
         own = pos in kept or last_plane is None
         if own:
-            last_plane = sequence[pos].y_plane
+            last_plane = sequence[pos]
         yield last_plane, own
 
 
@@ -186,12 +186,8 @@ def hold_sequence(video: ProcessedVideo,
     makes it directly comparable to the original frame by frame.
     """
     _check_sequence(sequence, video.frame_count, video.fps)
-    frames = tuple(
-        Frame(dims=sequence.dims, y_plane=plane, index=pos)
-        for pos, (plane, _) in enumerate(_held_planes(video, sequence))
-    )
-    return FrameSequence(frames=frames, fps=sequence.fps,
-                         source_label=f"hold:{video.label}")
+    planes = tuple(plane for plane, _ in _held_planes(video, sequence))
+    return FrameSequence(frames=planes, fps=sequence.fps)
 
 
 def hold_stream(video: ProcessedVideo, sequence: FrameSequence) -> bytes:
@@ -234,7 +230,7 @@ def quality_report(video: ProcessedVideo,
         chunk_total = 0.0
         for pos in range(chunk.range.start, chunk.range.end):
             plane, own = held[pos]
-            chunk_total += 1.0 if own else ssim(plane, sequence[pos].y_plane)
+            chunk_total += 1.0 if own else ssim(plane, sequence[pos])
         per_chunk.append(chunk_total / chunk.range.frame_count)
         total += chunk_total
     return QualityReport(

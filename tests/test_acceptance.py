@@ -20,7 +20,6 @@ from evso import cli, empd, fscheduler, similarity, stream_sim, vprocessor
 from evso.empd import AdaptationSet, EmpdManifest, EvsoLevel, Period, \
     Representation
 from evso.frame_source import (
-    Frame,
     FrameDims,
     FrameSequence,
     encode_y4m,
@@ -283,9 +282,7 @@ def _transition_clip():
     noise = rng.integers(0, 256, size=(50, dims.height, dims.width),
                          dtype=np.uint8)
     planes = [static] * 50 + list(noise) + [static] * 50
-    frames = tuple(Frame(dims=dims, y_plane=p, index=i)
-                   for i, p in enumerate(planes))
-    return FrameSequence(frames=frames, fps=Fraction(30))
+    return FrameSequence(frames=planes, fps=Fraction(30))
 
 
 def test_criterion_08_quality_beats_uniform_decimation():
@@ -381,9 +378,7 @@ def _battery_demo_clip():
     noise = rng.integers(0, 256, size=(30, dims.height, dims.width),
                          dtype=np.uint8)
     planes = [static] * 30 + list(noise) + [static] * 30
-    frames = tuple(Frame(dims=dims, y_plane=p, index=i)
-                   for i, p in enumerate(planes))
-    return FrameSequence(frames=frames, fps=Fraction(30))
+    return FrameSequence(frames=planes, fps=Fraction(30))
 
 
 def test_criterion_10_streaming_session_end_to_end(tmp_path):

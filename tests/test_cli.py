@@ -60,11 +60,23 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_config_file_rejects_malformed_json(tmp_path, capsys):
+#: Config files that are not JSON objects or carry wrongly typed values.
+_BAD_CONFIGS = {"list": '[1]', "theta-str": '{"theta": "x"}',
+                "taus-int": '{"taus": 5}',
+                "profile-int": '{"profiles": {"evso": 5}}',
+                "k_window-float": '{"k_window": 2.5}'}
+
+
+@pytest.mark.parametrize("text", ["{", *_BAD_CONFIGS.values()],
+                         ids=["not-json", *_BAD_CONFIGS])
+def test_config_file_rejects_malformed_json(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{")
+    cfg.write_text(text)
     assert cli.main(["--config", str(cfg), "--show-config"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    if text != "{":
+        with pytest.raises(errors.MalformedDocument):
+            cli.load_config(str(cfg))
 
 
 def test_readme_configuration_block_matches_show_config(capsys):
@@ -109,6 +121,7 @@ def test_analyze_with_ssim_to_file(tmp_path):
                      "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert all(0.0 < p["ssim"] <= 1.0 for p in doc["pairs"])
+    assert [p["index"] for p in doc["pairs"]] == list(range(44))
 
 
 def test_split_accepts_saved_analysis(tmp_path, capsys):
@@ -232,7 +245,8 @@ def test_simulate_writes_session_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("pairs", [None, [{"index": 0, "y_diff": 5}],
-                                   [{"index": 0, "m_diff": 999}]])
+                                   [{"index": 0, "m_diff": 999}],
+                                   [{"index": 1, "m_diff": 0}]])
 def test_split_rejects_malformed_analysis(tmp_path, capsys, pairs):
     doc = {"width": 96, "height": 64, "fps": "30"}
     if pairs is not None:
@@ -395,3 +409,51 @@ def test_manifest_lists_segments_in_chunk_order_past_999(tmp_path):
     urls = parsed.video_sets()[0].representations[0].segment_urls
     assert urls == tuple(f"segments/baseline/chunk_{i:03d}.y4m"
                          for i in range(count))
+
+
+def _one_representation_mpd(attrs):
+    return (f'<MPD><Period duration="PT2S"><AdaptationSet contentType="video">'
+            f'<Representation id="r" {attrs}/></AdaptationSet></Period></MPD>')
+
+
+#: Baseline lists two segments; the low set's representation lists none.
+_EMPTY_LOW_MPD = """<MPD><Period duration="PT2S">
+  <AdaptationSet contentType="video" EVSOLevel="baseline">
+    <Representation id="baseline" bandwidth="1"><SegmentList>
+      <SegmentURL media="b0"/><SegmentURL media="b1"/>
+    </SegmentList></Representation></AdaptationSet>
+  <AdaptationSet contentType="video" EVSOLevel="low">
+    <Representation id="low" bandwidth="1"/></AdaptationSet>
+</Period></MPD>"""
+
+
+@pytest.mark.parametrize("files, argv", [
+    pytest.param({}, ["split", "clip.y4m", "--gamma", "30/0"], id="gamma"),
+    pytest.param({"clip.yuv": ""},
+                 ["analyze", "clip.yuv", "--dims", "96x64", "--fps", "30/0"],
+                 id="raw-fps"),
+    *[pytest.param({"cfg.json": text},
+                   ["--config", "cfg.json", "split", "clip.y4m"],
+                   id=f"config-{name}") for name, text in _BAD_CONFIGS.items()],
+    *[pytest.param({"bad.mpd": _one_representation_mpd(attrs)},
+                   ["manifest", "--parse", "bad.mpd"], id=f"mpd-{name}")
+      for name, attrs in (("bandwidth-zz", 'bandwidth="zz"'),
+                          ("bandwidth-neg", 'bandwidth="-5"'),
+                          ("width-q", 'bandwidth="1" width="q"'))],
+    pytest.param({"m.mpd": _EMPTY_LOW_MPD,
+                  "trace.csv": "segment_index,bandwidth_bps,battery_level\n"
+                               "0,1000,low\n"},
+                 ["simulate", "m.mpd", "--trace", "trace.csv"],
+                 id="empty-set"),
+    pytest.param({"manifest.mpd": "<MPD/>"}, ["serve", ".", "--port", "70000"],
+                 id="port"),
+])
+def test_bad_input_prints_error_and_exits_1(tmp_path, monkeypatch, capsys,
+                                            files, argv):
+    _synth_clip(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -165,6 +165,21 @@ def test_parse_malformed_documents():
         parse_xml(b'<MPD><Period duration="12s"/></MPD>')
 
 
+@pytest.mark.parametrize("duration, attrs", [
+    ("PT1S", 'bandwidth="zz"'),
+    ("PT1S", 'bandwidth="-5"'),
+    ("PT1S", 'bandwidth="9" width="q"'),
+    ("PT-5S", 'bandwidth="9"'),
+])
+def test_parse_rejects_bad_values_as_malformed_xml(duration, attrs):
+    xml = f"""<MPD><Period duration="{duration}">
+      <AdaptationSet contentType="video"><Representation id="r" {attrs}>
+        <SegmentList><SegmentURL media="s0"/></SegmentList>
+      </Representation></AdaptationSet></Period></MPD>"""
+    with pytest.raises(MalformedXml):
+        parse_xml(xml.encode())
+
+
 def test_duration_serialization_is_exact_for_terminating_decimals():
     for seconds, text in ((Fraction(5), b"PT5S"), (Fraction(25, 2), b"PT12.5S"),
                           (Fraction(3, 8), b"PT0.375S")):

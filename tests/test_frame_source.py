@@ -12,7 +12,6 @@ from evso.errors import (
     UnsupportedColorSpace,
 )
 from evso.frame_source import (
-    Frame,
     FrameDims,
     FrameSequence,
     as_fps,
@@ -40,6 +39,8 @@ def test_as_fps_rejects_nonpositive():
         as_fps(0)
     with pytest.raises(ValueError):
         as_fps(-24)
+    with pytest.raises(ValueError):
+        as_fps("30/0")
 
 
 def test_dims_macroblock_grid_uses_floor():
@@ -56,29 +57,33 @@ def test_dims_smaller_than_one_macroblock_rejected():
         FrameDims(64, 8)
 
 
-def test_frame_reshapes_and_locks_plane():
-    dims = FrameDims(16, 16)
-    frame = Frame(dims=dims, y_plane=np.arange(256, dtype=np.uint8), index=0)
-    assert frame.y_plane.shape == (16, 16)
+def test_sequence_holds_read_only_planes_and_leaves_caller_arrays_writable():
+    plane = np.arange(512, dtype=np.uint8).reshape(16, 32)
+    seq = FrameSequence(frames=(plane, plane), fps=30)
+    assert type(seq[0]) is np.ndarray
+    assert seq[0].shape == (16, 32) and seq[0].dtype == np.uint8
+    assert seq.dims == FrameDims(32, 16)
+    assert len(seq) == 2
+    assert seq.duration_seconds == Fraction(2, 30)
     with pytest.raises(ValueError):
-        frame.y_plane[0, 0] = 1
+        seq[1][0, 0] = 1
+    plane[0, 0] = 7
+    assert plane.flags.writeable
+    assert seq[0][0, 0] == 7
 
 
-def test_frame_size_mismatch_rejected():
+def test_sequence_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        Frame(dims=FrameDims(16, 16), y_plane=np.zeros(100, dtype=np.uint8),
-              index=0)
-
-
-def test_sequence_validates_indices_and_dims():
-    dims = FrameDims(16, 16)
-    plane = np.zeros((16, 16), dtype=np.uint8)
-    good = FrameSequence(
-        frames=(Frame(dims, plane, 0), Frame(dims, plane, 1)), fps=30)
-    assert len(good) == 2
-    assert good.duration_seconds == Fraction(2, 30)
+        FrameSequence(frames=(np.zeros((16, 16), np.uint8),
+                              np.zeros((16, 32), np.uint8)), fps=30)
     with pytest.raises(ValueError):
-        FrameSequence(frames=(Frame(dims, plane, 1),), fps=30)
+        FrameSequence(frames=(np.zeros(256, np.uint8),), fps=30)
+
+
+@pytest.mark.parametrize("shape", [(15, 64), (64, 8)])
+def test_sequence_rejects_planes_under_one_macroblock(shape):
+    with pytest.raises(ValueError):
+        FrameSequence(frames=(np.zeros(shape, np.uint8),), fps=30)
 
 
 def test_y4m_round_trip_preserves_planes_and_rate():
@@ -90,7 +95,7 @@ def test_y4m_round_trip_preserves_planes_and_rate():
     assert len(back) == 5
     assert back.dims == seq.dims
     for a, b in zip(seq, back):
-        assert np.array_equal(a.y_plane, b.y_plane)
+        assert np.array_equal(a, b)
 
 
 def test_y4m_accepts_file_objects():
@@ -110,8 +115,8 @@ def test_y4m_skips_chroma_of_420_input():
     seq = read_y4m(blob)
     assert len(seq) == 2
     assert seq.fps == 25
-    assert np.array_equal(seq[0].y_plane, luma0)
-    assert np.array_equal(seq[1].y_plane, luma1)
+    assert np.array_equal(seq[0], luma0)
+    assert np.array_equal(seq[1], luma1)
 
 
 def test_y4m_default_color_space_is_420():
@@ -157,7 +162,7 @@ def test_y4m_odd_sized_420_rounds_chroma_up():
     blob += (b"FRAME\n" + luma.tobytes() + chroma) * 2
     seq = read_y4m(blob)
     assert len(seq) == 2
-    assert np.array_equal(seq[1].y_plane, luma)
+    assert np.array_equal(seq[1], luma)
 
 
 def test_y4m_truncated_payload_rejected():
@@ -176,11 +181,11 @@ def test_raw_yuv_yonly_round_trip(tmp_path):
     dims = FrameDims(32, 16)
     seq = synth_noise(dims, 4, seed=9, amplitude=200)
     path = tmp_path / "clip.yuv"
-    path.write_bytes(b"".join(f.y_plane.tobytes() for f in seq))
+    path.write_bytes(b"".join(f.tobytes() for f in seq))
     back = read_raw_yuv(path, dims, 30, "YONLY")
     assert len(back) == 4
     for a, b in zip(seq, back):
-        assert np.array_equal(a.y_plane, b.y_plane)
+        assert np.array_equal(a, b)
 
 
 def test_raw_yuv_i420_keeps_luma_only(tmp_path):
@@ -191,7 +196,7 @@ def test_raw_yuv_i420_keeps_luma_only(tmp_path):
     path.write_bytes((luma.tobytes() + chroma) * 3)
     back = read_raw_yuv(path, dims, 24, "I420")
     assert len(back) == 3
-    assert np.array_equal(back[2].y_plane, luma)
+    assert np.array_equal(back[2], luma)
 
 
 def test_raw_yuv_i420_odd_size_rounds_chroma_up(tmp_path):
@@ -201,7 +206,7 @@ def test_raw_yuv_i420_odd_size_rounds_chroma_up(tmp_path):
     path.write_bytes((luma.tobytes() + bytes([128]) * (17 * 9 * 2)) * 3)
     back = read_raw_yuv(path, dims, 24, "I420")
     assert len(back) == 3
-    assert np.array_equal(back[2].y_plane, luma)
+    assert np.array_equal(back[2], luma)
 
 
 def test_raw_yuv_size_mismatch(tmp_path):
@@ -214,7 +219,7 @@ def test_raw_yuv_size_mismatch(tmp_path):
 def test_synth_static_is_constant():
     seq = synth_static(FrameDims(16, 32), 3, 200)
     for frame in seq:
-        assert frame.y_plane.min() == frame.y_plane.max() == 200
+        assert frame.min() == frame.max() == 200
 
 
 def test_moving_block_starts_top_left_and_bounces():
@@ -222,9 +227,9 @@ def test_moving_block_starts_top_left_and_bounces():
     # x positions reflect off the right border: 0,16,32,48,32,16,0,16,...
     expected_x = [0, 16, 32, 48, 32, 16, 0, 16, 32, 48]
     for frame, x in zip(seq, expected_x):
-        cols = np.where(frame.y_plane[0] == 255)[0]
+        cols = np.where(frame[0] == 255)[0]
         assert cols[0] == x and cols[-1] == x + 15
-    assert seq[0].y_plane[0, 0] == 255
+    assert seq[0][0, 0] == 255
 
 
 def test_moving_block_too_large_rejected():
@@ -235,7 +240,7 @@ def test_moving_block_too_large_rejected():
 def test_moving_block_full_width_stays_put():
     seq = synth_moving_block(FrameDims(32, 32), 4, 32, 8, 255, 0)
     for frame in seq:
-        assert np.array_equal(frame.y_plane, seq[0].y_plane)
+        assert np.array_equal(frame, seq[0])
 
 
 def test_noise_is_seed_reproducible_and_bounded():
@@ -243,12 +248,12 @@ def test_noise_is_seed_reproducible_and_bounded():
     b = synth_noise(FrameDims(16, 16), 5, seed=7, amplitude=100)
     c = synth_noise(FrameDims(16, 16), 5, seed=8, amplitude=100)
     for fa, fb in zip(a, b):
-        assert np.array_equal(fa.y_plane, fb.y_plane)
-    assert any(not np.array_equal(fa.y_plane, fc.y_plane)
+        assert np.array_equal(fa, fb)
+    assert any(not np.array_equal(fa, fc)
                for fa, fc in zip(a, c))
-    assert max(f.y_plane.max() for f in a) <= 100
+    assert max(f.max() for f in a) <= 100
     zeros = synth_noise(FrameDims(16, 16), 2, seed=1, amplitude=0)
-    assert all(f.y_plane.max() == 0 for f in zeros)
+    assert all(f.max() == 0 for f in zeros)
 
 
 def test_standard_corpus_composition():
@@ -265,7 +270,10 @@ def test_build_corpus_builds_each_kind():
          "block_edge": 16, "velocity": 4},
         {"kind": "noise", "width": 16, "height": 16, "count": 3, "seed": 1},
     ])
-    assert [seq.source_label for seq in corpus] == [
-        "synth:static", "synth:moving_block", "synth:noise"]
+    static, moving, noise = corpus
+    assert all((plane == 4).all() for plane in static)
+    assert moving.dims == FrameDims(32, 16)
+    assert [np.flatnonzero(plane[0] == 235)[0] for plane in moving] == [0, 4, 8]
+    assert len({plane.tobytes() for plane in noise}) == 3
     with pytest.raises(ValueError):
         build_corpus([{"kind": "mystery"}])

@@ -13,7 +13,12 @@ from evso.empd import (
     Period,
     Representation,
 )
-from evso.errors import BindFailure, MissingManifest, NoVideoSets
+from evso.errors import (
+    BindFailure,
+    InvariantViolation,
+    MissingManifest,
+    NoVideoSets,
+)
 from evso.stream_sim import (
     BatteryLevel,
     ClientState,
@@ -147,6 +152,17 @@ def test_simulate_defaults_apply_before_first_point():
         EvsoLevel.MEDIUM, EvsoLevel.MEDIUM, EvsoLevel.LOW]
 
 
+def test_simulate_rejects_representation_without_segments():
+    manifest = _manifest([
+        _video_set(EvsoLevel.BASELINE, [Representation(
+            id="baseline", bandwidth=1000, segment_urls=("b/0", "b/1"))]),
+        _video_set(EvsoLevel.LOW, [Representation(
+            id="low", bandwidth=1000, segment_urls=())]),
+    ])
+    with pytest.raises(InvariantViolation, match="'low'"):
+        simulate_session(manifest, [TracePoint(0, 10 ** 6, BatteryLevel.LOW)])
+
+
 def test_trace_csv_round_trip():
     text = ("segment_index,bandwidth_bps,battery_level\n"
             "0,500000,HIGH\n"
@@ -217,3 +233,10 @@ def test_serve_reports_bind_failure(tmp_path):
             serve(tmp_path, port=port)
     finally:
         blocker.close()
+
+
+@pytest.mark.parametrize("port", [70000, -1])
+def test_serve_reports_out_of_range_port_as_bind_failure(tmp_path, port):
+    _tree(tmp_path)
+    with pytest.raises(BindFailure):
+        serve(tmp_path, port=port)

@@ -147,7 +147,7 @@ def test_segment_streams_round_trip():
     assert back.fps == Fraction(15)
     assert len(back) == video.kept_count
     for out_frame, src_index in zip(back, video.kept_indices):
-        assert np.array_equal(out_frame.y_plane, seq[src_index].y_plane)
+        assert np.array_equal(out_frame, seq[src_index])
 
 
 def test_hold_sequence_repeats_last_kept_frame():
@@ -159,7 +159,8 @@ def test_hold_sequence_repeats_last_kept_frame():
     kept = set(video.kept_indices)
     for pos in range(10):
         source = pos if pos in kept else max(i for i in kept if i < pos)
-        assert np.array_equal(held[pos].y_plane, seq[source].y_plane)
+        assert np.array_equal(held[pos], seq[source])
+        assert np.shares_memory(held[pos], seq[source])
 
 
 def test_hold_stream_parses_at_source_rate():
@@ -211,8 +212,8 @@ def test_quality_report_scores_only_dropped_frames_against_held_plane(
     scored = [pos for start, end in ranges for pos in range(start, end)
               if pos in dropped]
     for pos, (a, b) in zip(scored, calls):
-        assert np.array_equal(a, held[pos].y_plane)
-        assert b is seq[pos].y_plane
+        assert np.array_equal(a, held[pos])
+        assert b is seq[pos]
     for (start, end), mean in zip(ranges, report.per_chunk_mean_ssim):
         scores = [0.5 if pos in dropped else 1.0 for pos in range(start, end)]
         assert mean == pytest.approx(sum(scores) / len(scores))

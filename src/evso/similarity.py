@@ -154,10 +154,11 @@ def y_diff(a: np.ndarray, b: np.ndarray) -> int:
 
 def _window_sums(values: np.ndarray, edge: int) -> np.ndarray:
     """Sums over every edge x edge window fully inside the plane (stride 1)."""
-    padded = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=np.float64)
-    padded[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
-    return (padded[edge:, edge:] - padded[:-edge, edge:]
-            - padded[edge:, :-edge] + padded[:-edge, :-edge])
+    table = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=np.int64)
+    np.cumsum(values, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    return (table[edge:, edge:] - table[:-edge, edge:]
+            - table[edge:, :-edge] + table[:-edge, :-edge])
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -166,15 +167,20 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     Windows slide with stride 1 and only fully interior positions count.
     Per-window statistics are population moments (divide by 64) computed in
     float64; the stabilizers use the standard (0.01*255)^2 and (0.03*255)^2.
-    Identical inputs score exactly 1.0.
+    Identical planes return exactly 1.0 without computing any window, the
+    value the formula gives for them. Samples are taken as int64 (luma is
+    integer), and window sums are exact in int64; below 2**53 a float64 sum
+    reaches the same values.
     """
     _check_same_dims(a, b)
     if a.shape[0] < _SSIM_EDGE or a.shape[1] < _SSIM_EDGE:
         raise FrameTooSmall(
             f"plane {a.shape} smaller than an {_SSIM_EDGE}x{_SSIM_EDGE} window"
         )
-    pa = a.astype(np.float64)
-    pb = b.astype(np.float64)
+    if np.array_equal(a, b):
+        return 1.0
+    pa = a.astype(np.int64)
+    pb = b.astype(np.int64)
     area = float(_SSIM_EDGE * _SSIM_EDGE)
     s_a = _window_sums(pa, _SSIM_EDGE)
     s_b = _window_sums(pb, _SSIM_EDGE)

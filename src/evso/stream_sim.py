@@ -157,11 +157,12 @@ class SessionLog:
 
 
 def segment_count(manifest: EmpdManifest) -> int:
-    """Session length: segments in the first video set's first representation."""
+    """Session length: the most segments any video representation lists."""
     sets = manifest.video_sets()
     if not sets:
         raise NoVideoSets("manifest has no video adaptation sets")
-    return len(sets[0].representations[0].segment_urls)
+    return max(len(rep.segment_urls)
+               for aset in sets for rep in aset.representations)
 
 
 def simulate_session(manifest: EmpdManifest, trace: Sequence[TracePoint],

@@ -427,6 +427,28 @@ _EMPTY_LOW_MPD = """<MPD><Period duration="PT2S">
 </Period></MPD>"""
 
 
+#: The first set, baseline, lists no segments; the low set lists two.
+_EMPTY_BASELINE_MPD = """<MPD><Period duration="PT2S">
+  <AdaptationSet contentType="video" EVSOLevel="baseline">
+    <Representation id="baseline" bandwidth="1"/></AdaptationSet>
+  <AdaptationSet contentType="video" EVSOLevel="low">
+    <Representation id="low" bandwidth="1"><SegmentList>
+      <SegmentURL media="l0"/><SegmentURL media="l1"/>
+    </SegmentList></Representation></AdaptationSet>
+</Period></MPD>"""
+
+
+def test_simulate_plays_longest_representation_when_first_is_empty(
+        tmp_path, capsys):
+    mpd = tmp_path / "m.mpd"
+    mpd.write_text(_EMPTY_BASELINE_MPD)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("segment_index,bandwidth_bps,battery_level\n0,1000,low\n")
+    assert cli.main(["simulate", str(mpd), "--trace", str(trace)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+
+
 @pytest.mark.parametrize("files, argv", [
     pytest.param({}, ["split", "clip.y4m", "--gamma", "30/0"], id="gamma"),
     pytest.param({"clip.yuv": ""},

@@ -80,6 +80,20 @@ def test_sequence_rejects_mismatched_shapes():
         FrameSequence(frames=(np.zeros(256, np.uint8),), fps=30)
 
 
+@pytest.mark.parametrize("value", [300, -1, -1.5, 2.5])
+def test_sequence_rejects_values_outside_uint8(value):
+    with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+        FrameSequence(frames=(np.full((16, 16), value),), fps=30)
+
+
+def test_sequence_casts_planes_holding_uint8_values():
+    ramp = np.arange(256, dtype=np.int64).reshape(16, 16)
+    seq = FrameSequence(frames=(np.full((16, 16), 3.0), ramp), fps=30)
+    assert all(plane.dtype == np.uint8 for plane in seq)
+    assert (seq[0] == 3).all()
+    assert np.array_equal(seq[1], ramp)
+
+
 @pytest.mark.parametrize("shape", [(15, 64), (64, 8)])
 def test_sequence_rejects_planes_under_one_macroblock(shape):
     with pytest.raises(ValueError):

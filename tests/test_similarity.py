@@ -11,7 +11,13 @@ from evso.errors import (
     FrameTooSmall,
     TooFewFrames,
 )
-from evso.frame_source import FrameDims, synth_moving_block, synth_noise
+from evso.frame_source import (
+    FrameDims,
+    synth_moving_block,
+    synth_noise,
+    synth_static,
+)
+from evso.fscheduler import schedule
 from evso.similarity import (
     DiffSeries,
     PairDiff,
@@ -26,6 +32,7 @@ from evso.similarity import (
     ssim,
     y_diff,
 )
+from evso.vprocessor import process, quality_report
 
 
 def _planes(h, w, fill_a=0, fill_b=0):
@@ -129,6 +136,79 @@ def test_ssim_matches_naive_windowed_reference():
         a = rng.integers(0, 256, size=(16, 24), dtype=np.uint8)
         b = rng.integers(0, 256, size=(16, 24), dtype=np.uint8)
         assert ssim(a, b) == pytest.approx(_naive_ssim(a, b), abs=1e-10)
+
+
+def _float_reference_ssim(a, b):
+    """The float64 summed-area-table ssim that the int64 one must match."""
+    def window_sums(values, edge):
+        padded = np.zeros((values.shape[0] + 1, values.shape[1] + 1),
+                          dtype=np.float64)
+        padded[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+        return (padded[edge:, edge:] - padded[:-edge, edge:]
+                - padded[edge:, :-edge] + padded[:-edge, :-edge])
+
+    c1 = (0.01 * 255.0) ** 2
+    c2 = (0.03 * 255.0) ** 2
+    pa = a.astype(np.float64)
+    pb = b.astype(np.float64)
+    area = 64.0
+    s_a = window_sums(pa, 8)
+    s_b = window_sums(pb, 8)
+    s_aa = window_sums(pa * pa, 8)
+    s_bb = window_sums(pb * pb, 8)
+    s_ab = window_sums(pa * pb, 8)
+    mu_a = s_a / area
+    mu_b = s_b / area
+    var_a = s_aa / area - mu_a * mu_a
+    var_b = s_bb / area - mu_b * mu_b
+    cov = s_ab / area - mu_a * mu_b
+    numer = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    denom = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(numer / denom))
+
+
+def _ssim_reference_pairs():
+    rng = np.random.Generator(np.random.PCG64(8))
+    for shape in ((8, 8), (33, 17), (1080, 1920)):
+        a = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        yield a, rng.integers(0, 256, size=shape, dtype=np.uint8)
+        one = a.copy()
+        one[shape[0] // 2, shape[1] // 3] ^= 0x80
+        yield a, one
+    seq = synth_noise(FrameDims(48, 32), 2, seed=9, amplitude=255)
+    strided = seq[0][:, ::2]
+    assert not strided.flags.writeable and not strided.flags.c_contiguous
+    yield strided, seq[1][:, ::2]
+
+
+def test_ssim_is_bit_identical_to_float_summed_area_tables():
+    for a, b in _ssim_reference_pairs():
+        assert ssim(a, b) == _float_reference_ssim(a, b)
+        assert ssim(b, a) == _float_reference_ssim(b, a)
+
+
+def _no_window_sums(values, edge):
+    raise AssertionError("reached _window_sums")
+
+
+def test_ssim_of_equal_planes_is_exactly_one_without_windows(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(10))
+    a = rng.integers(0, 256, size=(17, 33), dtype=np.uint8)
+    assert _float_reference_ssim(a, a.copy()) == 1.0
+    monkeypatch.setattr("evso.similarity._window_sums", _no_window_sums)
+    assert ssim(a, a.copy()) == 1.0
+
+
+def test_quality_report_of_held_static_frames_skips_window_sums(monkeypatch):
+    static = synth_static(FrameDims(64, 64), 60, 128)
+    moving = synth_moving_block(FrameDims(64, 64), 60, 16, 8, 235, 16)
+    videos = [process(seq, schedule(diff_series(seq)), "evso_plus_plus")
+              for seq in (static, moving)]
+    assert all(video.kept_count < video.frame_count for video in videos)
+    monkeypatch.setattr("evso.similarity._window_sums", _no_window_sums)
+    assert quality_report(videos[0], static).mean_ssim == 1.0
+    with pytest.raises(AssertionError, match="reached _window_sums"):
+        quality_report(videos[1], moving)
 
 
 def test_ssim_identity_extremes_and_symmetry():

@@ -1,121 +1,18 @@
-"""Energy-aware video frame-rate scheduling and streaming toolkit."""
+"""Energy-aware video frame-rate scheduling and streaming toolkit.
 
-from .errors import (
-    BindFailure,
-    BlockOutOfRange,
-    BlockTooLarge,
-    ChunkCountMismatch,
-    ChunkTooSmall,
-    DegenerateInput,
-    DimsMismatch,
-    EvsoError,
-    FrameTooSmall,
-    InvalidRate,
-    InvariantViolation,
-    MalformedDocument,
-    MalformedHeader,
-    MalformedXml,
-    MissingManifest,
-    NoVideoSets,
-    ScheduleMismatch,
-    SizeMismatch,
-    TooFewFrames,
-    TruncatedFrame,
-    UnsupportedColorSpace,
-    WindowOutOfRange,
-)
-from .frame_source import (
-    MACROBLOCK_EDGE,
-    FrameDims,
-    FrameSequence,
-    as_fps,
-    build_corpus,
-    encode_y4m,
-    read_raw_yuv,
-    read_y4m,
-    sniff_y4m,
-    standard_corpus,
-    synth_moving_block,
-    synth_noise,
-    synth_static,
-)
-from .similarity import (
-    DEFAULT_THETA,
-    DiffSeries,
-    PairDiff,
-    SimilarityConfig,
-    d_y,
-    diff_series,
-    linear_fit,
-    m_diff,
-    pearson,
-    regression_ssim_estimate,
-    sad_y_macroblock,
-    ssim,
-    y_diff,
-)
-from .fscheduler import (
-    DEFAULT_ALPHA,
-    DEFAULT_BETA,
-    DEFAULT_DELTA,
-    DEFAULT_K_WINDOW,
-    DEFAULT_TAUS,
-    PROFILE_FACTORS,
-    ChunkPlan,
-    ChunkRange,
-    ChunkScheduleEntry,
-    RateProfile,
-    RateSchedule,
-    ScheduleConfig,
-    SplitConfig,
-    chunk_sigma,
-    default_profiles,
-    epf,
-    est,
-    evf,
-    rolling_stats,
-    schedule,
-    split,
-)
-from .vprocessor import (
-    ProcessedChunk,
-    ProcessedVideo,
-    QualityReport,
-    decimate_uniform,
-    hold_sequence,
-    hold_stream,
-    process,
-    quality_report,
-    restrict_to_chunks,
-    retime_indices,
-    segment_streams,
-    snap_rate,
-)
-from .empd import (
-    LEVEL_FOR_PROFILE,
-    PROFILE_FOR_LEVEL,
-    AdaptationSet,
-    EmpdManifest,
-    EvsoLevel,
-    Period,
-    Representation,
-    build_manifest,
-    parse_xml,
-    serialize_xml,
-)
-from .stream_sim import (
-    LEVEL_FOR_BATTERY,
-    BatteryLevel,
-    ClientState,
-    ServerHandle,
-    SessionLog,
-    SessionRow,
-    TracePoint,
-    load_trace,
-    segment_count,
-    select_representation,
-    serve,
-    simulate_session,
-)
+The API is the stage modules: `evso.frame_source`, `evso.similarity`,
+`evso.fscheduler`, `evso.vprocessor`, `evso.empd` and `evso.stream_sim`, plus
+`evso.errors` and the command line in `evso.cli`. `import evso` loads none of
+them; naming one as an attribute of the package imports it on first use.
+"""
+
+import importlib
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    if name in ("cli", "empd", "errors", "frame_source", "fscheduler",
+                "similarity", "stream_sim", "vprocessor"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

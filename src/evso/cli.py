@@ -62,7 +62,7 @@ class PipelineConfig:
         merged = cls().to_dict()
         unknown = sorted(set(doc) - set(merged))
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            raise MalformedDocument(f"unknown config keys: {', '.join(unknown)}")
         merged.update(doc)
         try:
             merged["profiles"] = {

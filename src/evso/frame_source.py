@@ -342,6 +342,11 @@ def synth_moving_block(dims: FrameDims, count: int, block_edge: int,
     frame, reflecting off the left/right borders so motion continues for any
     frame count. Fully deterministic.
     """
+    for name, luma in (("fg_luma", fg_luma), ("bg_luma", bg_luma)):
+        if not 0 <= luma <= 255:
+            raise ValueError(f"{name} {luma} outside [0, 255]")
+    if block_edge < 1:
+        raise ValueError("block_edge must be >= 1")
     if block_edge > min(dims.width, dims.height):
         raise BlockTooLarge(
             f"block edge {block_edge} exceeds frame {dims}"

@@ -18,12 +18,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .errors import ChunkTooSmall, WindowOutOfRange
 from .similarity import DiffSeries
 
-DEFAULT_ALPHA = 3000
-DEFAULT_BETA = 15000
-DEFAULT_K_WINDOW = 10
-
 DEFAULT_TAUS = (500, 1500, 3000, 6000)
-DEFAULT_DELTA = 0.0001
 
 #: Per-profile rate factors (s1..s5), least to most aggressive. The top
 #: factor of the two milder profiles is the integer 1: at the highest motion
@@ -44,9 +39,9 @@ class SplitConfig:
     that K-1-term sum by K; the standard deviation divides by K-1.
     """
 
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    k_window: int = DEFAULT_K_WINDOW
+    alpha: float = 3000
+    beta: float = 15000
+    k_window: int = 10
 
     def __post_init__(self) -> None:
         if not isinstance(self.k_window, numbers.Integral):
@@ -185,7 +180,7 @@ class ScheduleConfig:
     """Rate-mapping parameters shared by every profile."""
 
     taus: Tuple[int, ...] = DEFAULT_TAUS
-    delta: float = DEFAULT_DELTA
+    delta: float = 0.0001
     profiles: Dict[str, RateProfile] = field(default_factory=default_profiles)
 
     def __post_init__(self) -> None:

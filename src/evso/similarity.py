@@ -26,9 +26,6 @@ from .errors import (
 )
 from .frame_source import MACROBLOCK_EDGE, FrameDims, FrameSequence
 
-#: Per-macroblock SAD threshold: a block is "changed" only strictly above it.
-DEFAULT_THETA = 320
-
 #: Linear model mapping a per-pair changed-macroblock count to expected SSIM.
 REGRESSION_INTERCEPT = 1.0063
 REGRESSION_SLOPE = -1.5903e-5
@@ -42,7 +39,8 @@ _SSIM_C2 = (0.03 * 255.0) ** 2
 class SimilarityConfig:
     """Tunables for the macroblock difference measure."""
 
-    theta: int = DEFAULT_THETA
+    #: Per-macroblock SAD threshold: a block is "changed" only strictly above it.
+    theta: int = 320
 
     def __post_init__(self) -> None:
         if self.theta < 0:

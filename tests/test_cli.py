@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import select
@@ -11,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import evso
-from evso import cli, errors
+from evso import cli, empd, errors
 from evso.frame_source import read_y4m
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +56,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"thetas": 1}))
     assert cli.main(["--config", str(cfg), "--show-config"]) == 1
     assert "unknown config key" in capsys.readouterr().err
+    with pytest.raises(errors.MalformedDocument, match="unknown config keys"):
+        cli.load_config(str(cfg))
 
 
 #: Config files that are not JSON objects or carry wrongly typed values.
@@ -87,14 +87,42 @@ def test_readme_configuration_block_matches_show_config(capsys):
     assert capsys.readouterr().out == block
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[0, 24]\n"
+
+
+def _run_cold(code):
+    """Run `code` in a fresh interpreter that finds evso only in src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import sys, evso\n"
+                 "loaded = [m for m in sys.modules if m.startswith('evso.')"
+                 " or m in ('numpy', 'http.server')]\n"
+                 "assert not loaded, loaded", id="package"),
+    pytest.param("import sys, evso.stream_sim\n"
+                 "assert 'numpy' not in sys.modules", id="stream_sim"),
+    pytest.param("import evso\nassert not hasattr(evso, 'nope')",
+                 id="unknown-name"),
+])
+def test_cold_import_loads_only_what_is_named(code):
+    _run_cold(code)
+
+
 def test_traced_benchmark_targets_resolve_on_package():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for module_name, attr, _ in tracer.TARGETS:
-        assert callable(getattr(getattr(evso, module_name), attr)), (
-            module_name, attr)
+    _run_cold("import runpy, evso\n"
+              "for module, attr, _ in runpy.run_path('perfbench/tracer.py')"
+              "['TARGETS']:\n"
+              "    assert callable(getattr(getattr(evso, module), attr)), "
+              "(module, attr)")
 
 
 def test_no_command_prints_help(capsys):
@@ -405,7 +433,7 @@ def test_manifest_lists_segments_in_chunk_order_past_999(tmp_path):
         (level_dir / f"chunk_{i:03d}.y4m").write_bytes(
             b"YUV4MPEG2 W16 H16 F30:1 Cmono\n")
     assert cli.main(["manifest", str(tmp_path)]) == 0
-    parsed = evso.parse_xml((tmp_path / "manifest.mpd").read_bytes())
+    parsed = empd.parse_xml((tmp_path / "manifest.mpd").read_bytes())
     urls = parsed.video_sets()[0].representations[0].segment_urls
     assert urls == tuple(f"segments/baseline/chunk_{i:03d}.y4m"
                          for i in range(count))
@@ -469,6 +497,9 @@ def test_simulate_plays_longest_representation_when_first_is_empty(
                  id="empty-set"),
     pytest.param({"manifest.mpd": "<MPD/>"}, ["serve", ".", "--port", "70000"],
                  id="port"),
+    *[pytest.param({}, ["synth", "moving-block", "--dims", "96x64", "--count",
+                        "3", flag, value, "--out", "bad.y4m"], id=f"synth-{flag[2:]}")
+      for flag, value in (("--fg-luma", "300"), ("--block-edge", "-5"))],
 ])
 def test_bad_input_prints_error_and_exits_1(tmp_path, monkeypatch, capsys,
                                             files, argv):

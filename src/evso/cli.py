@@ -181,10 +181,12 @@ def _series_from_doc(doc: dict) -> DiffSeries:
         for pos, p in enumerate(doc["pairs"]):
             if p["index"] != pos:
                 raise ValueError(f"pair at position {pos} has index {p['index']}")
-            pairs.append(PairDiff(m_diff=p["m_diff"], y_diff=p.get("y_diff", 0),
-                                  ssim=p.get("ssim")))
+            counts = p["m_diff"], p.get("y_diff", 0)
+            if any(type(count) is not int for count in counts):
+                raise TypeError(f"pair {pos} has non-integer counts {counts}")
+            pairs.append(PairDiff(*counts, ssim=p.get("ssim")))
         return DiffSeries(dims=FrameDims(doc["width"], doc["height"]),
-                          fps=Fraction(doc["fps"]), pairs=pairs)
+                          fps=as_fps(doc["fps"]), pairs=pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not an analysis document: {exc!r}") from None
 
@@ -230,7 +232,7 @@ def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
         )
         return fscheduler.RateSchedule(
             entries=entries, frame_count=doc["frame_count"],
-            fps=Fraction(doc["fps"]), gamma=Fraction(doc["gamma"]),
+            fps=as_fps(doc["fps"]), gamma=as_fps(doc["gamma"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not a schedule document: {exc!r}") from None

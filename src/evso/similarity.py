@@ -125,29 +125,48 @@ def d_y(a: np.ndarray, b: np.ndarray, mb_row: int, mb_col: int,
     return 1 if sad_y_macroblock(a, b, mb_row, mb_col) > theta else 0
 
 
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact |a - b| of two uint8 planes as uint8: max - min never wraps."""
+    _check_same_dims(a, b)
+    d = np.maximum(a, b)
+    d -= np.minimum(a, b)
+    return d
+
+
+def _changed_blocks(d: np.ndarray, theta: int) -> int:
+    """Full 16x16 blocks of an |a - b| plane whose sum exceeds theta.
+
+    16-row strips sum in uint16 (at most 16*255); 16-column groups of a strip
+    then sum in int32 (at most 65,280).
+    """
+    rows, cols = d.shape[0] // MACROBLOCK_EDGE, d.shape[1] // MACROBLOCK_EDGE
+    core_w = cols * MACROBLOCK_EDGE
+    strips = d[:rows * MACROBLOCK_EDGE, :core_w].reshape(
+        rows, MACROBLOCK_EDGE, core_w).sum(axis=1, dtype=np.uint16)
+    sads = strips.reshape(rows, cols, MACROBLOCK_EDGE).sum(axis=2, dtype=np.int32)
+    return int(np.count_nonzero(sads > theta))
+
+
+def _plane_sad(d: np.ndarray) -> int:
+    """Sum of an |a - b| plane: rows in a dtype that holds 255 * width."""
+    row_dtype = np.min_scalar_type(255 * d.shape[1])
+    return int(d.sum(axis=1, dtype=row_dtype).sum(dtype=np.int64))
+
+
 def m_diff(a: np.ndarray, b: np.ndarray,
            config: Optional[SimilarityConfig] = None) -> int:
-    """Count of changed macroblocks between two frames.
+    """Count of changed macroblocks between two uint8 planes.
 
     Only full 16x16 blocks participate; partial rows/columns at the right and
     bottom edges are ignored. Equality with theta does not count as changed.
     """
     theta = (config or SimilarityConfig()).theta
-    _check_same_dims(a, b)
-    rows, cols = a.shape[0] // MACROBLOCK_EDGE, a.shape[1] // MACROBLOCK_EDGE
-    if rows == 0 or cols == 0:
-        return 0
-    core_h, core_w = rows * MACROBLOCK_EDGE, cols * MACROBLOCK_EDGE
-    diff = np.abs(a.astype(np.int16) - b.astype(np.int16))[:core_h, :core_w]
-    sads = diff.reshape(rows, MACROBLOCK_EDGE, cols, MACROBLOCK_EDGE).sum(
-        axis=(1, 3), dtype=np.int64)
-    return int(np.count_nonzero(sads > theta))
+    return _changed_blocks(_abs_diff(a, b), theta)
 
 
 def y_diff(a: np.ndarray, b: np.ndarray) -> int:
-    """Whole-plane SAD, edge pixels included."""
-    _check_same_dims(a, b)
-    return int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum())
+    """Whole-plane SAD of two uint8 planes, edge pixels included."""
+    return _plane_sad(_abs_diff(a, b))
 
 
 def _window_sums(values: np.ndarray, edge: int) -> np.ndarray:
@@ -205,9 +224,10 @@ def diff_series(sequence: FrameSequence,
     pairs = []
     for i in range(len(sequence) - 1):
         a, b = sequence[i], sequence[i + 1]
+        d = _abs_diff(a, b)
         pairs.append(PairDiff(
-            m_diff=m_diff(a, b, cfg),
-            y_diff=y_diff(a, b),
+            m_diff=_changed_blocks(d, cfg.theta),
+            y_diff=_plane_sad(d),
             ssim=ssim(a, b) if with_ssim else None,
         ))
     return DiffSeries(dims=sequence.dims, fps=sequence.fps, pairs=tuple(pairs))

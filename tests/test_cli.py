@@ -274,7 +274,9 @@ def test_simulate_writes_session_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("pairs", [None, [{"index": 0, "y_diff": 5}],
                                    [{"index": 0, "m_diff": 999}],
-                                   [{"index": 1, "m_diff": 0}]])
+                                   [{"index": 1, "m_diff": 0}],
+                                   [{"index": 0, "m_diff": True}],
+                                   [{"index": 0, "m_diff": 1, "y_diff": 1.5}]])
 def test_split_rejects_malformed_analysis(tmp_path, capsys, pairs):
     doc = {"width": 96, "height": 64, "fps": "30"}
     if pairs is not None:
@@ -497,6 +499,14 @@ def test_simulate_plays_longest_representation_when_first_is_empty(
                  id="empty-set"),
     pytest.param({"manifest.mpd": "<MPD/>"}, ["serve", ".", "--port", "70000"],
                  id="port"),
+    pytest.param({"a.json": json.dumps({
+        "width": 96, "height": 64, "fps": "1/0",
+        "pairs": [{"index": 0, "m_diff": 0}]})},
+                 ["schedule", "--analysis", "a.json"], id="analysis-fps"),
+    *[pytest.param({"schedule.json": json.dumps({
+        "frame_count": 45, "fps": "30", "gamma": "30", "chunks": [],
+        rate: "1/0"})}, ["manifest", "."], id=f"schedule-{rate}")
+      for rate in ("fps", "gamma")],
     *[pytest.param({}, ["synth", "moving-block", "--dims", "96x64", "--count",
                         "3", flag, value, "--out", "bad.y4m"], id=f"synth-{flag[2:]}")
       for flag, value in (("--fg-luma", "300"), ("--block-edge", "-5"))],

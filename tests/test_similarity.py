@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from evso.errors import (
 )
 from evso.frame_source import (
     FrameDims,
+    FrameSequence,
     synth_moving_block,
     synth_noise,
     synth_static,
@@ -244,6 +246,75 @@ def test_diff_series_covers_adjacent_pairs():
     assert all(p.ssim is not None and p.ssim < 1.0 for p in series.pairs)
     lazy = diff_series(seq)
     assert all(p.ssim is None for p in lazy.pairs)
+
+
+def _kernel_cases():
+    """Named plane pairs that stress the uint8 pair kernel's sums and edges."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    cases = {f"random-{h}x{w}": (rng.integers(0, 256, size=(h, w), dtype=np.uint8),
+                                 rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+             for h, w in ((16, 16), (33, 17), (17, 33), (48, 40), (1080, 1920))}
+    cases["black-white"] = _planes(48, 40, 0, 255)  # full blocks sum to 65,280
+    a, b = _planes(40, 50)
+    b[32:, :] = 255  # partial bottom rows
+    b[:, 48:] = 255  # partial right columns
+    cases["edges-only"] = a, b
+    a, b = _planes(32, 32)
+    b[:4, :16] = 5  # block (0, 0) sums to exactly 320
+    b[16:20, 16:32] = 5
+    b[20, 16] = 6  # block (1, 1) sums to 321
+    cases["theta-320"] = a, b
+    return cases
+
+
+def test_pair_kernel_matches_int64_reference():
+    for name, (a, b) in _kernel_cases().items():
+        rows, cols = a.shape[0] // 16, a.shape[1] // 16
+        block_sads = [sad_y_macroblock(a, b, r, c)
+                      for r in range(rows) for c in range(cols)]
+        ref_y = int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum())
+        assert y_diff(a, b) == ref_y, name
+        # FrameSequence holds read-only views; make them strided too.
+        h, w = a.shape
+        views = []
+        for plane in (a, b):
+            wide = np.zeros((2 * h, 3 * w), dtype=np.uint8)
+            wide[::2, ::3] = plane
+            views.append(wide[::2, ::3])
+        seq = FrameSequence(frames=views, fps=30)
+        assert not seq[0].flags.writeable
+        assert not seq[0].flags.c_contiguous
+        for theta in (0, 320, 65_280):
+            cfg = SimilarityConfig(theta=theta)
+            ref_m = sum(sad > theta for sad in block_sads)
+            assert m_diff(a, b, cfg) == ref_m, (name, theta)
+            assert diff_series(seq, cfg).pairs == (PairDiff(ref_m, ref_y),)
+
+
+def test_pair_kernel_extreme_and_edge_cases():
+    cases = _kernel_cases()
+    black, white = cases["black-white"]
+    assert sad_y_macroblock(black, white, 2, 1) == 65_280
+    assert m_diff(black, white, SimilarityConfig(theta=65_279)) == 6
+    assert m_diff(black, white, SimilarityConfig(theta=65_280)) == 0
+    a, b = cases["edges-only"]
+    assert m_diff(a, b, SimilarityConfig(theta=0)) == 0
+    assert y_diff(a, b) == (40 * 50 - 32 * 48) * 255
+    assert m_diff(*cases["theta-320"]) == 1
+
+
+def test_diff_series_peak_memory_is_a_few_planes():
+    rng = np.random.Generator(np.random.PCG64(5))
+    seq = FrameSequence(
+        frames=rng.integers(0, 256, size=(4, 1080, 1920), dtype=np.uint8),
+        fps=30)
+    tracemalloc.start()
+    try:
+        diff_series(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 1080 * 1920
 
 
 def test_diff_series_needs_two_frames():

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import sys
@@ -26,7 +27,7 @@ from . import empd, frame_source, fscheduler, similarity, stream_sim, vprocessor
 from .empd import EvsoLevel
 from .errors import EvsoError, MalformedDocument
 from .frame_source import FrameDims, FrameSequence, as_fps
-from .fscheduler import PROFILE_FACTORS, RateProfile, ScheduleConfig, SplitConfig
+from .fscheduler import PROFILE_FACTORS, ScheduleConfig, SplitConfig
 from .similarity import DiffSeries, PairDiff, SimilarityConfig
 
 
@@ -50,9 +51,6 @@ class PipelineConfig:
         doc = {}
         for part in (self.similarity, self.split, self.schedule):
             doc.update((f.name, getattr(part, f.name)) for f in fields(part))
-        doc["taus"] = list(doc["taus"])
-        doc["profiles"] = {name: list(profile.s_factors)
-                           for name, profile in doc["profiles"].items()}
         return doc
 
     @classmethod
@@ -65,10 +63,6 @@ class PipelineConfig:
             raise MalformedDocument(f"unknown config keys: {', '.join(unknown)}")
         merged.update(doc)
         try:
-            merged["profiles"] = {
-                name: RateProfile(name=name, s_factors=tuple(factors))
-                for name, factors in merged["profiles"].items()
-            }
             return cls(*(kind(**{f.name: merged[f.name] for f in fields(kind)})
                          for kind in (SimilarityConfig, SplitConfig,
                                       ScheduleConfig)))
@@ -118,13 +112,9 @@ def _write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def _write_text(path: str, text: str) -> None:
-    _write_bytes(path, text.encode("utf-8"))
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        _write_text(args.out, text)
+        _write_bytes(args.out, text.encode("utf-8"))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -175,18 +165,26 @@ def _series_to_doc(series: DiffSeries) -> dict:
     }
 
 
+def _json_ints(*values) -> tuple:
+    """The values, if each is a JSON integer; true and 2.0 are not."""
+    if any(type(value) is not int for value in values):
+        raise TypeError(f"expected integers, got {values}")
+    return values
+
+
 def _series_from_doc(doc: dict) -> DiffSeries:
     try:
         pairs = []
         for pos, p in enumerate(doc["pairs"]):
             if p["index"] != pos:
                 raise ValueError(f"pair at position {pos} has index {p['index']}")
-            counts = p["m_diff"], p.get("y_diff", 0)
-            if any(type(count) is not int for count in counts):
-                raise TypeError(f"pair {pos} has non-integer counts {counts}")
-            pairs.append(PairDiff(*counts, ssim=p.get("ssim")))
-        return DiffSeries(dims=FrameDims(doc["width"], doc["height"]),
-                          fps=as_fps(doc["fps"]), pairs=pairs)
+            counts = _json_ints(p["m_diff"], p.get("y_diff", 0))
+            ssim = p.get("ssim")
+            if type(ssim) not in (int, float, type(None)):
+                raise TypeError(f"pair {pos} has ssim {ssim!r}")
+            pairs.append(PairDiff(*counts, ssim=ssim))
+        dims = FrameDims(*_json_ints(doc["width"], doc["height"]))
+        return DiffSeries(dims=dims, fps=as_fps(doc["fps"]), pairs=pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not an analysis document: {exc!r}") from None
 
@@ -225,13 +223,13 @@ def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
     try:
         entries = tuple(
             fscheduler.ChunkScheduleEntry(
-                range=fscheduler.ChunkRange(c["start"], c["end"]),
+                range=fscheduler.ChunkRange(*_json_ints(c["start"], c["end"])),
                 sigma=c["sigma"], rates=dict(c["rates"]),
             )
             for c in doc["chunks"]
         )
         return fscheduler.RateSchedule(
-            entries=entries, frame_count=doc["frame_count"],
+            entries=entries, frame_count=_json_ints(doc["frame_count"])[0],
             fps=as_fps(doc["fps"]), gamma=as_fps(doc["gamma"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -282,13 +280,19 @@ def cmd_schedule(args, config: PipelineConfig) -> int:
     return 0
 
 
+#: Flat-rate variants by label, each a share of the source rate.
+_FLAT_SHARES = {"baseline": Fraction(1), "two_thirds": Fraction(2, 3)}
+
+
+def _flat(sequence: FrameSequence, label: str) -> vprocessor.ProcessedVideo:
+    return vprocessor.decimate_uniform(
+        sequence, sequence.fps * _FLAT_SHARES[label], label)
+
+
 def _processed_for_profile(sequence: FrameSequence, args,
                            config: PipelineConfig) -> vprocessor.ProcessedVideo:
-    if args.profile == "baseline":
-        return vprocessor.decimate_uniform(sequence, sequence.fps, "baseline")
-    if args.profile == "two_thirds":
-        return vprocessor.decimate_uniform(
-            sequence, sequence.fps * Fraction(2, 3), "two_thirds")
+    if args.profile in _FLAT_SHARES:
+        return _flat(sequence, args.profile)
     series = similarity.diff_series(sequence, config.similarity)
     return vprocessor.process(sequence, _schedule(series, args, config),
                               args.profile)
@@ -307,6 +311,11 @@ def cmd_process(args, config: PipelineConfig) -> int:
             path = os.path.join(args.out, f"chunk_{i:03d}.y4m")
             _write_bytes(path, blob)
             written.append(path)
+        # Chunks left by an earlier, longer run would pass for this run's.
+        for name in os.listdir(args.out):
+            path = os.path.join(args.out, name)
+            if re.fullmatch(r"chunk_\d{3,}\.y4m", name) and path not in written:
+                os.unlink(path)
     summary = {
         "profile": args.profile,
         "frame_count": video.frame_count,
@@ -317,10 +326,6 @@ def cmd_process(args, config: PipelineConfig) -> int:
     }
     print(_dump_json(summary), end="")
     return 0
-
-
-def _bandwidth_bps(total_bytes: int, frame_count: int, fps: Fraction) -> int:
-    return math.ceil(Fraction(total_bytes * 8) * fps / frame_count)
 
 
 def _tree_manifest(root: str,
@@ -345,7 +350,8 @@ def _tree_manifest(root: str,
             continue
         urls[level] = [f"segments/{level.value}/{n}" for n in names]
         total = sum(os.path.getsize(os.path.join(level_dir, n)) for n in names)
-        bandwidths[level] = _bandwidth_bps(total, sched.frame_count, sched.fps)
+        bandwidths[level] = math.ceil(
+            Fraction(total * 8) * sched.fps / sched.frame_count)
         if dims is None:
             dims, _ = frame_source.sniff_y4m(os.path.join(level_dir, names[0]))
     return empd.build_manifest(
@@ -378,9 +384,8 @@ def _write_tree(root: str, sequence: FrameSequence,
     videos: Dict[str, vprocessor.ProcessedVideo] = {}
     for level, profile in empd.PROFILE_FOR_LEVEL.items():
         if profile is None:
-            flat = vprocessor.decimate_uniform(sequence, sequence.fps,
-                                               "baseline")
-            video = vprocessor.restrict_to_chunks(flat, ranges)
+            video = vprocessor.restrict_to_chunks(_flat(sequence, level.value),
+                                                  ranges)
         else:
             video = vprocessor.process(sequence, sched, profile)
         # `blobs` must outlive this loop: the live buffers keep glibc from
@@ -394,8 +399,9 @@ def _write_tree(root: str, sequence: FrameSequence,
     put("manifest.mpd", empd.serialize_xml(manifest))
     put("schedule.json", _dump_json(_schedule_to_doc(sched)).encode())
 
-    videos["two_thirds"] = vprocessor.decimate_uniform(
-        sequence, sequence.fps * Fraction(2, 3), "two_thirds")
+    for label in _FLAT_SHARES:
+        if label not in videos:
+            videos[label] = _flat(sequence, label)
     report: Dict[str, dict] = {}
     for label, video in videos.items():
         quality = vprocessor.quality_report(video, sequence)
@@ -597,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("process", help="retime a video under one profile")
     _add_video_input(p)
     p.add_argument("--profile", required=True,
-                   choices=sorted(PROFILE_FACTORS) + ["baseline", "two_thirds"])
+                   choices=sorted(PROFILE_FACTORS) + list(_FLAT_SHARES))
     p.add_argument("--gamma", help="playback rate (default: source rate)")
     p.add_argument("--mode", default="segments", choices=["segments", "hold"],
                    help="per-chunk segment files or one held-frame stream")

@@ -20,7 +20,10 @@ _MPD_NAMESPACE = "urn:mpeg:dash:schema:mpd:2011"
 
 
 class EvsoLevel(Enum):
-    """Energy processing level of one video adaptation set."""
+    """Energy processing level of one video adaptation set.
+
+    Members are declared from the mildest to the most aggressive.
+    """
 
     BASELINE = "baseline"
     HIGH = "high"
@@ -34,11 +37,6 @@ PROFILE_FOR_LEVEL: Dict[EvsoLevel, Optional[str]] = {
     EvsoLevel.HIGH: "evso",
     EvsoLevel.MEDIUM: "evso_plus",
     EvsoLevel.LOW: "evso_plus_plus",
-}
-
-LEVEL_FOR_PROFILE: Dict[str, EvsoLevel] = {
-    profile: level for level, profile in PROFILE_FOR_LEVEL.items()
-    if profile is not None
 }
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BlockTooLarge,
+    MalformedDocument,
     MalformedHeader,
     SizeMismatch,
     TruncatedFrame,
@@ -40,7 +41,7 @@ def as_fps(value: FpsLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         fps = value
-    elif isinstance(value, int):
+    elif isinstance(value, int) and not isinstance(value, bool):
         fps = Fraction(value)
     elif isinstance(value, float):
         fps = Fraction(str(value))
@@ -164,17 +165,12 @@ def _chroma_420_bytes(width: int, height: int) -> int:
 
 def _readline(stream: BinaryIO, limit: int = 1024) -> bytes:
     """Read up to a newline; returns b"" at EOF. Never reads past the \\n."""
-    out = bytearray()
-    while len(out) < limit:
-        byte = stream.read(1)
-        if not byte:
-            break
-        if byte == b"\n":
-            return bytes(out)
-        out += byte
-    if len(out) >= limit:
+    line = stream.readline(limit)
+    if line.endswith(b"\n"):
+        return line[:-1]
+    if len(line) >= limit:
         raise MalformedHeader("header line exceeds 1024 bytes")
-    return bytes(out)
+    return line
 
 
 def _parse_signature(header: bytes):
@@ -410,21 +406,24 @@ def standard_corpus() -> list:
 def build_corpus(entries: Sequence[dict]) -> list:
     """Build synthetic sequences from a list of {"kind": ..., ...} dicts."""
     builders = {
-        "static": lambda e: synth_static(
-            FrameDims(e["width"], e["height"]), e["count"], e["luma"],
-            e.get("fps", 30)),
-        "moving_block": lambda e: synth_moving_block(
-            FrameDims(e["width"], e["height"]), e["count"], e["block_edge"],
-            e["velocity"], e.get("fg_luma", 235), e.get("bg_luma", 16),
-            e.get("fps", 30)),
-        "noise": lambda e: synth_noise(
-            FrameDims(e["width"], e["height"]), e["count"], e["seed"],
-            e.get("amplitude", 255), e.get("fps", 30)),
+        "static": lambda e, dims, fps: synth_static(
+            dims, e["count"], e["luma"], fps),
+        "moving_block": lambda e, dims, fps: synth_moving_block(
+            dims, e["count"], e["block_edge"], e["velocity"],
+            e.get("fg_luma", 235), e.get("bg_luma", 16), fps),
+        "noise": lambda e, dims, fps: synth_noise(
+            dims, e["count"], e["seed"], e.get("amplitude", 255), fps),
     }
+    if not isinstance(entries, (list, tuple)):
+        raise MalformedDocument("a corpus must be a list of clip descriptions")
     sequences = []
-    for entry in entries:
-        kind = entry.get("kind")
-        if kind not in builders:
-            raise ValueError(f"unknown corpus entry kind {kind!r}")
-        sequences.append(builders[kind](entry))
+    try:
+        for entry in entries:
+            kind = entry.get("kind")
+            if kind not in builders:
+                raise ValueError(f"unknown corpus entry kind {kind!r}")
+            dims = FrameDims(entry["width"], entry["height"])
+            sequences.append(builders[kind](entry, dims, entry.get("fps", 30)))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise MalformedDocument(f"not a corpus document: {exc!r}") from None
     return sequences

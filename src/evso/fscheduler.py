@@ -149,41 +149,29 @@ def split(series: DiffSeries, gamma: Optional[Fraction] = None,
                      fps=series.fps)
 
 
-@dataclass(frozen=True)
-class RateProfile:
-    """Named set of five rate factors, one per motion band."""
-
-    name: str
-    s_factors: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        factors = tuple(self.s_factors)
-        object.__setattr__(self, "s_factors", factors)
-        if len(factors) != 5:
-            raise ValueError(f"profile {self.name}: need 5 factors")
-        for a, b in zip(factors, factors[1:]):
-            if a > b:
-                raise ValueError(f"profile {self.name}: factors must not decrease")
-        if factors[0] <= 0 or factors[-1] > 1:
-            raise ValueError(f"profile {self.name}: factors outside (0, 1]")
-
-
-def default_profiles() -> Dict[str, RateProfile]:
-    return {
-        name: RateProfile(name=name, s_factors=factors)
-        for name, factors in PROFILE_FACTORS.items()
-    }
+def default_profiles() -> Dict[str, Tuple[float, ...]]:
+    return dict(PROFILE_FACTORS)
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Rate-mapping parameters shared by every profile."""
+    """Band boundaries, deviation bonus and each profile's five factors."""
 
     taus: Tuple[int, ...] = DEFAULT_TAUS
     delta: float = 0.0001
-    profiles: Dict[str, RateProfile] = field(default_factory=default_profiles)
+    profiles: Dict[str, Tuple[float, ...]] = field(
+        default_factory=default_profiles)
 
     def __post_init__(self) -> None:
+        profiles = {name: tuple(f) for name, f in self.profiles.items()}
+        object.__setattr__(self, "profiles", profiles)
+        for name, factors in profiles.items():
+            if len(factors) != 5:
+                raise ValueError(f"profile {name}: need 5 factors")
+            if any(a > b for a, b in zip(factors, factors[1:])):
+                raise ValueError(f"profile {name}: factors must not decrease")
+            if factors[0] <= 0 or factors[-1] > 1:
+                raise ValueError(f"profile {name}: factors outside (0, 1]")
         taus = tuple(self.taus)
         object.__setattr__(self, "taus", taus)
         if len(taus) != 4:
@@ -194,7 +182,7 @@ class ScheduleConfig:
             raise ValueError("delta must be >= 0")
 
 
-def epf(d: int, profile: RateProfile, gamma: Fraction,
+def epf(d: int, factors: Sequence[float], gamma: Fraction,
         taus: Sequence[int] = DEFAULT_TAUS) -> float:
     """Per-pair target rate: the band factor for d times the playback rate.
 
@@ -207,7 +195,7 @@ def epf(d: int, profile: RateProfile, gamma: Fraction,
             band += 1
         else:
             break
-    return profile.s_factors[band] * float(gamma)
+    return factors[band] * float(gamma)
 
 
 def chunk_sigma(series: DiffSeries, chunk: ChunkRange) -> float:
@@ -226,7 +214,7 @@ def chunk_sigma(series: DiffSeries, chunk: ChunkRange) -> float:
     return math.sqrt(var)
 
 
-def evf(series: DiffSeries, chunk: ChunkRange, profile: RateProfile,
+def evf(series: DiffSeries, chunk: ChunkRange, factors: Sequence[float],
         gamma: Fraction, config: Optional[ScheduleConfig] = None) -> float:
     """Chunk target rate: mean per-pair rate plus a small deviation bonus.
 
@@ -237,7 +225,7 @@ def evf(series: DiffSeries, chunk: ChunkRange, profile: RateProfile,
     values = series.m_diffs[chunk.start:chunk.end - 1]
     if not values:
         raise ChunkTooSmall(f"chunk {chunk} holds no frame pairs")
-    mean_rate = sum(epf(d, profile, gamma, cfg.taus) for d in values) / len(values)
+    mean_rate = sum(epf(d, factors, gamma, cfg.taus) for d in values) / len(values)
     rate = mean_rate + cfg.delta * chunk_sigma(series, chunk)
     return min(rate, float(gamma))
 
@@ -266,9 +254,6 @@ class RateSchedule:
             frame_count=self.frame_count, fps=self.fps,
         )
 
-    def rates_for(self, profile_name: str) -> Tuple[float, ...]:
-        return tuple(e.rates[profile_name] for e in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -293,8 +278,8 @@ def schedule(series: DiffSeries, gamma: Optional[Fraction] = None,
         rated = (chunk if chunk.frame_count > 1
                  else ChunkRange(chunk.start - 1, chunk.end))
         rates = {
-            name: evf(series, rated, profile, gamma, cfg)
-            for name, profile in cfg.profiles.items()
+            name: evf(series, rated, factors, gamma, cfg)
+            for name, factors in cfg.profiles.items()
         }
         entries.append(ChunkScheduleEntry(
             range=chunk, sigma=chunk_sigma(series, rated), rates=rates,

@@ -43,8 +43,7 @@ LEVEL_FOR_BATTERY: Dict[BatteryLevel, EvsoLevel] = {
 }
 
 #: Fallback order when a level is absent: step toward less aggressive levels.
-_FALLBACK_CHAIN = (EvsoLevel.LOW, EvsoLevel.MEDIUM, EvsoLevel.HIGH,
-                   EvsoLevel.BASELINE)
+_FALLBACK_CHAIN = tuple(reversed(EvsoLevel))
 
 
 class ClientState(NamedTuple):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import select
@@ -24,6 +25,10 @@ EXPECTED_CONFIG = """{
   "delta": 0.0001,
   "profiles": {"evso": [0.6, 0.83, 0.9, 0.93, 1], "evso_plus": [0.5, 0.73, 0.83, 0.9, 1], "evso_plus_plus": [0.43, 0.6, 0.7, 0.8, 0.93]}
 }"""
+
+
+#: Cuts the README's 90-frame moving-block clip into three chunks.
+_CUT_CONFIG = {"beta": 3, "taus": [1, 2, 3, 5]}
 
 
 def _synth_clip(tmp_path, name="clip.y4m", count=45):
@@ -208,6 +213,27 @@ def test_process_segment_mode_writes_chunk_files(tmp_path, capsys):
     assert segment.fps == Fraction(20)
 
 
+def test_process_segment_mode_removes_chunks_of_a_longer_run(tmp_path, capsys):
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cut.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG))
+    outdir = tmp_path / "segs"
+    outdir.mkdir()
+    for name in ("notes.txt", "chunk_one.y4m"):
+        (outdir / name).write_text("keep")
+    argv = ["process", str(clip), "--profile", "evso", "--out", str(outdir)]
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), *argv]) == 0
+    assert len(json.loads(capsys.readouterr().out)["outputs"]) == 3
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"] == [
+        str(outdir / "chunk_000.y4m")]
+    assert sorted(os.listdir(outdir)) == ["chunk_000.y4m", "chunk_one.y4m",
+                                          "notes.txt"]
+    assert (outdir / "notes.txt").read_text() == "keep"
+    assert len(read_y4m((outdir / "chunk_000.y4m").read_bytes())) < 90
+
+
 def test_pipeline_builds_complete_tree(tmp_path, capsys):
     clip = _synth_clip(tmp_path)
     outdir = tmp_path / "tree"
@@ -228,6 +254,59 @@ def test_pipeline_builds_complete_tree(tmp_path, capsys):
     assert cli.main(["pipeline", str(clip), str(outdir)]) == 1
     capsys.readouterr()
     assert cli.main(["pipeline", str(clip), str(outdir), "--force"]) == 0
+
+
+#: SHA-256 of every file that `pipeline` writes for the README's 96x64
+#: moving-block clip, under the default config and under _CUT_CONFIG.
+_TREE_SHA256 = {
+    "default": {
+        "manifest.mpd": "2222a339d8e391f81ecd8f7ddc501069073942441685d1582ef27bb38a786e8b",
+        "quality_report.json": "d235636153403d353913947ff3d52c3cb5182200b28ebefdd0bff982051dcc4a",
+        "schedule.json": "0412b1db495fd312e3379d5728724f64ae4c01d411f9215e8c1564bce41145e2",
+        "segments/baseline/chunk_000.y4m": "d553549396fa6b5af56af0d6b100c2a4dc18e4a6f61739a9172a69fd85e88415",
+        "segments/high/chunk_000.y4m": "234afd5b8d5b22becbd01f4b62f54b025ee76420937c68e354cd1d8ca6a72853",
+        "segments/low/chunk_000.y4m": "5a583ead80ff01e1635d096202b319a5b25debe866c242b23a0cca926e740359",
+        "segments/medium/chunk_000.y4m": "6eb6ac04d4e7dec6410111499edaa54e14e5b5eb5299c600dd2a0ce21fa64cf3",
+    },
+    "cut": {
+        "manifest.mpd": "dbf860d9dfb966dcafc3e3610c76cf4869b6f520a150b5d7fd920ecd1b7c15f6",
+        "quality_report.json": "36f97946ec8c7474bb2104910b5a75d205c89e219dec073ef891879d54252772",
+        "schedule.json": "a0e6af723fb631a690c6497f3e3098063c82d631eb34711f8f0d7a992c48d09d",
+        "segments/baseline/chunk_000.y4m": "7875b81365f0c48fdddbc69bb5db44912c3e46af8e91c27d65d74066aae35f82",
+        "segments/baseline/chunk_001.y4m": "955a479c58a997e8b9c0ca2b1496ba8750a3259b533622c8148d4138b611ff78",
+        "segments/baseline/chunk_002.y4m": "96e589eda5eb98c6cda96ffd309be03f9afa8ca2723e6964619011728d520733",
+        "segments/high/chunk_000.y4m": "f19d1c5ae6db99d5fbad6c695933b7a2dcd58a28e9d6d50158d1c9321d80a3c9",
+        "segments/high/chunk_001.y4m": "d36d9e22c0c919f717d15059d2400d7215423de5a48207bcc040f988d6cd72a1",
+        "segments/high/chunk_002.y4m": "380b793f03e3a4c77ccaca0b15d46be902c28672a0883547cc6b3fd701975aca",
+        "segments/low/chunk_000.y4m": "5b8eed8fd2fcd026254fb278e4be52b378b54f74b415a964e4abeed279b70cd7",
+        "segments/low/chunk_001.y4m": "f703b8743b192a26aecdf25daf9e2cb7f6e0fb38bd49a80f1a1ce345191cbf14",
+        "segments/low/chunk_002.y4m": "b36802f3857c8c6b3b65a960a5e0917b5e50ce3fd535c4d20cceb8bc81d94bcb",
+        "segments/medium/chunk_000.y4m": "35cc7f963a519eca14ccb04cbcb3b40b40b963ae7d3f11edab76e01949a12559",
+        "segments/medium/chunk_001.y4m": "be512775025df5da19be9d44df15524b2936d91cd3fec486e3a7cca3da9de188",
+        "segments/medium/chunk_002.y4m": "50178bdba15dcb8323ae08c3ddcf63055e2627004c24533ba3ef0beeb8247f10",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TREE_SHA256))
+def test_pipeline_tree_is_byte_identical_to_recorded_digests(tmp_path, capsys,
+                                                             name):
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG if name == "cut" else {}))
+    outdir = tmp_path / "tree"
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "pipeline", str(clip),
+                     str(outdir)]) == 0
+    chunks = json.loads(capsys.readouterr().out)["chunks"]
+    if name == "cut":
+        assert chunks >= 2
+    digests = {
+        path.relative_to(outdir).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in outdir.rglob("*") if path.is_file()
+    }
+    assert digests == _TREE_SHA256[name]
 
 
 def test_manifest_rebuild_matches_pipeline_output(tmp_path, capsys):
@@ -276,7 +355,11 @@ def test_simulate_writes_session_csv(tmp_path, capsys):
                                    [{"index": 0, "m_diff": 999}],
                                    [{"index": 1, "m_diff": 0}],
                                    [{"index": 0, "m_diff": True}],
-                                   [{"index": 0, "m_diff": 1, "y_diff": 1.5}]])
+                                   [{"index": 0, "m_diff": 1, "y_diff": 1.5}],
+                                   pytest.param([{"index": 0, "m_diff": 0,
+                                                  "ssim": "abc"}], id="ssim-str"),
+                                   pytest.param([{"index": 0, "m_diff": 0,
+                                                  "ssim": True}], id="ssim-bool")])
 def test_split_rejects_malformed_analysis(tmp_path, capsys, pairs):
     doc = {"width": 96, "height": 64, "fps": "30"}
     if pairs is not None:
@@ -292,6 +375,23 @@ def test_manifest_rejects_schedule_lacking_chunks(tmp_path, capsys):
         json.dumps({"frame_count": 45, "fps": "30", "gamma": "30"}))
     assert cli.main(["manifest", str(tmp_path)]) == 1
     assert "error: not a schedule document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("frame_count", 90.5),
+                                          ("fps", True), ("start", 0.0),
+                                          ("end", True)])
+def test_manifest_rejects_schedule_with_non_integer_counts(tmp_path, capsys,
+                                                           field, value):
+    clip = _synth_clip(tmp_path, count=90)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
+    doc = json.loads((outdir / "schedule.json").read_text())
+    (doc if field in doc else doc["chunks"][0])[field] = value
+    (outdir / "schedule.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["manifest", str(outdir), "--out", str(tmp_path / "m.mpd")]) == 1
+    assert "error: not a schedule document" in capsys.readouterr().err
+    assert not (tmp_path / "m.mpd").exists()
 
 
 def test_simulate_rejects_malformed_trace(tmp_path, capsys):
@@ -507,6 +607,21 @@ def test_simulate_plays_longest_representation_when_first_is_empty(
         "frame_count": 45, "fps": "30", "gamma": "30", "chunks": [],
         rate: "1/0"})}, ["manifest", "."], id=f"schedule-{rate}")
       for rate in ("fps", "gamma")],
+    *[pytest.param({"a.json": json.dumps({
+        "width": 96, "height": 64, "fps": "30",
+        "pairs": [{"index": 0, "m_diff": 0, "ssim": None}], **bad})},
+                 ["schedule", "--analysis", "a.json"], id=f"analysis-{name}")
+      for name, bad in (("fps-true", {"fps": True}),
+                        ("width-float", {"width": 96.5}),
+                        ("ssim-str", {"pairs": [{"index": 0, "m_diff": 0,
+                                                 "ssim": "abc"}]}))],
+    *[pytest.param({"corpus.json": json.dumps(corpus)},
+                   ["correlate", "--corpus", "corpus.json"], id=f"corpus-{name}")
+      for name, corpus in (
+          ("missing-keys", [{"kind": "static"}]),
+          ("luma-str", [{"kind": "static", "width": 32, "height": 32,
+                         "count": 4, "luma": "x"}]),
+          ("not-a-list", {"kind": "static"}))],
     *[pytest.param({}, ["synth", "moving-block", "--dims", "96x64", "--count",
                         "3", flag, value, "--out", "bad.y4m"], id=f"synth-{flag[2:]}")
       for flag, value in (("--fg-luma", "300"), ("--block-edge", "-5"))],

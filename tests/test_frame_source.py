@@ -6,6 +6,7 @@ import pytest
 
 from evso.errors import (
     BlockTooLarge,
+    MalformedDocument,
     MalformedHeader,
     SizeMismatch,
     TruncatedFrame,
@@ -41,6 +42,12 @@ def test_as_fps_rejects_nonpositive():
         as_fps(-24)
     with pytest.raises(ValueError):
         as_fps("30/0")
+
+
+def test_as_fps_rejects_bool():
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            as_fps(value)
 
 
 def test_dims_macroblock_grid_uses_floor():
@@ -162,6 +169,35 @@ def test_y4m_malformed_headers_rejected():
 def test_y4m_non_numeric_tags_are_malformed_headers(header):
     with pytest.raises(MalformedHeader):
         read_y4m(header)
+
+
+def _padded(line: bytes, length=None) -> bytes:
+    """line grown to length bytes by a trailing tag readers ignore, plus \\n."""
+    if length is not None:
+        line += b" X" + b"x" * (length - len(line) - 2)
+        assert len(line) == length
+    return line + b"\n"
+
+
+def test_y4m_header_lines_stop_at_1023_bytes(tmp_path):
+    planes = [np.arange(256, dtype=np.uint8).reshape(16, 16),
+              np.full((16, 16), 7, dtype=np.uint8)]
+    expected = [p.tobytes() for p in planes]
+
+    def clip(signature_length=None, frame_length=None):
+        frames = b"".join(_padded(b"FRAME", frame_length) + p.tobytes()
+                          for p in planes)
+        return _padded(b"YUV4MPEG2 W16 H16 F30:1 Cmono", signature_length) + frames
+
+    for blob in (clip(1023), clip(None, 1023), clip(1023, 1023)):
+        assert [p.tobytes() for p in read_y4m(blob)] == expected
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(blob)
+        with open(path, "rb", buffering=0) as fh:
+            assert [p.tobytes() for p in read_y4m(fh)] == expected
+    for blob in (clip(1024), clip(None, 1024)):
+        with pytest.raises(MalformedHeader, match="exceeds 1024 bytes"):
+            read_y4m(blob)
 
 
 def _odd_luma(w, h):
@@ -291,3 +327,12 @@ def test_build_corpus_builds_each_kind():
     assert len({plane.tobytes() for plane in noise}) == 3
     with pytest.raises(ValueError):
         build_corpus([{"kind": "mystery"}])
+
+
+@pytest.mark.parametrize("doc", [{}, {"kind": "static"}, [5],
+                                 [{"kind": "static"}],
+                                 [{"kind": "noise", "width": 16, "height": 16,
+                                   "count": 2, "seed": "x"}]])
+def test_build_corpus_rejects_malformed_documents(doc):
+    with pytest.raises(MalformedDocument):
+        build_corpus(doc)

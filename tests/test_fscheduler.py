@@ -11,7 +11,6 @@ from evso.frame_source import FrameDims
 from evso.fscheduler import (
     ChunkPlan,
     ChunkRange,
-    RateProfile,
     ScheduleConfig,
     SplitConfig,
     chunk_sigma,
@@ -199,15 +198,16 @@ def test_evf_adds_scaled_deviation():
 
 
 def test_rate_profile_validation():
-    RateProfile(name="ok", s_factors=(0.4, 0.5, 0.6, 0.7, 1))
-    with pytest.raises(ValueError):
-        RateProfile(name="short", s_factors=(0.5, 0.6, 0.7, 1))
-    with pytest.raises(ValueError):
-        RateProfile(name="drops", s_factors=(0.5, 0.4, 0.6, 0.7, 1))
-    with pytest.raises(ValueError):
-        RateProfile(name="big", s_factors=(0.5, 0.6, 0.7, 0.8, 1.1))
-    with pytest.raises(ValueError):
-        RateProfile(name="zero", s_factors=(0, 0.6, 0.7, 0.8, 1))
+    ok = ScheduleConfig(profiles={"ok": [0.4, 0.5, 0.6, 0.7, 1]})
+    assert ok.profiles == {"ok": (0.4, 0.5, 0.6, 0.7, 1)}
+    with pytest.raises(ValueError, match="profile short: need 5 factors"):
+        ScheduleConfig(profiles={"short": (0.5, 0.6, 0.7, 1)})
+    with pytest.raises(ValueError, match="profile drops: factors must not"):
+        ScheduleConfig(profiles={"drops": (0.5, 0.4, 0.6, 0.7, 1)})
+    with pytest.raises(ValueError, match="profile big: factors outside"):
+        ScheduleConfig(profiles={"big": (0.5, 0.6, 0.7, 0.8, 1.1)})
+    with pytest.raises(ValueError, match="profile zero: factors outside"):
+        ScheduleConfig(profiles={"zero": (0, 0.6, 0.7, 0.8, 1)})
 
 
 def test_schedule_config_validation():
@@ -228,7 +228,6 @@ def test_schedule_static_clip_rates():
     assert entry.rates["evso"] == pytest.approx(18.0, abs=1e-9)
     assert entry.rates["evso_plus"] == pytest.approx(15.0, abs=1e-9)
     assert entry.rates["evso_plus_plus"] == pytest.approx(12.9, abs=1e-9)
-    assert sched.rates_for("evso") == (entry.rates["evso"],)
     assert sched.plan.chunks == (ChunkRange(0, 300),)
 
 

@@ -21,14 +21,23 @@ import time
 import uuid
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from . import empd, frame_source, fscheduler, similarity, stream_sim, vprocessor
+from . import empd, fscheduler, stream_sim
 from .empd import EvsoLevel
 from .errors import EvsoError, MalformedDocument
-from .frame_source import FrameDims, FrameSequence, as_fps
-from .fscheduler import PROFILE_FACTORS, ScheduleConfig, SplitConfig
-from .similarity import DiffSeries, PairDiff, SimilarityConfig
+from .fscheduler import (PROFILE_FACTORS, ScheduleConfig, SimilarityConfig,
+                         SplitConfig)
+
+if TYPE_CHECKING:
+    from . import vprocessor
+    from .frame_source import FrameDims, FrameSequence
+    from .similarity import DiffSeries
+
+# The modules above are numpy-free; frame_source, similarity and vprocessor
+# are imported only by the functions that read or write planes. No command
+# makes a BLAS call, yet OpenBLAS starts a thread per core when numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +129,7 @@ def _emit(args, text: str) -> None:
 
 
 def _parse_dims(text: str) -> FrameDims:
+    from .frame_source import FrameDims
     width, _, height = text.lower().partition("x")
     try:
         return FrameDims(int(width), int(height))
@@ -128,6 +138,7 @@ def _parse_dims(text: str) -> FrameDims:
 
 
 def _load_video(args) -> FrameSequence:
+    from . import frame_source
     path = args.input
     if path.lower().endswith(".y4m"):
         with open(path, "rb") as fh:
@@ -136,8 +147,8 @@ def _load_video(args) -> FrameSequence:
         raise EvsoError(
             "raw input needs --dims WxH and --fps (or use a .y4m file)"
         )
-    return frame_source.read_raw_yuv(path, args.dims, as_fps(args.fps),
-                                     args.layout)
+    return frame_source.read_raw_yuv(path, args.dims,
+                                     frame_source.as_fps(args.fps), args.layout)
 
 
 def _add_video_input(parser: argparse.ArgumentParser,
@@ -173,6 +184,8 @@ def _json_ints(*values) -> tuple:
 
 
 def _series_from_doc(doc: dict) -> DiffSeries:
+    from .frame_source import FrameDims, as_fps
+    from .similarity import DiffSeries, PairDiff
     try:
         pairs = []
         for pos, p in enumerate(doc["pairs"]):
@@ -190,6 +203,7 @@ def _series_from_doc(doc: dict) -> DiffSeries:
 
 
 def _obtain_series(args, config: PipelineConfig) -> DiffSeries:
+    from . import similarity
     analysis = getattr(args, "analysis", None)
     if analysis:
         if args.input:
@@ -220,6 +234,7 @@ def _schedule_to_doc(sched: fscheduler.RateSchedule) -> dict:
 
 
 def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
+    from .frame_source import as_fps
     try:
         entries = tuple(
             fscheduler.ChunkScheduleEntry(
@@ -245,6 +260,7 @@ def _dump_json(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
+    from . import similarity
     sequence = _load_video(args)
     series = similarity.diff_series(sequence, config.similarity,
                                     with_ssim=args.with_ssim)
@@ -253,6 +269,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
 
 
 def cmd_split(args, config: PipelineConfig) -> int:
+    from .frame_source import as_fps
     series = _obtain_series(args, config)
     gamma = as_fps(args.gamma) if args.gamma else series.fps
     plan = fscheduler.split(series, gamma=gamma, config=config.split)
@@ -269,6 +286,7 @@ def cmd_split(args, config: PipelineConfig) -> int:
 def _schedule(series: DiffSeries, args,
               config: PipelineConfig) -> fscheduler.RateSchedule:
     """Split and rate a series at --gamma, or at the source rate without it."""
+    from .frame_source import as_fps
     gamma = as_fps(args.gamma) if args.gamma else series.fps
     return fscheduler.schedule(series, gamma=gamma, split_config=config.split,
                                schedule_config=config.schedule)
@@ -285,12 +303,14 @@ _FLAT_SHARES = {"baseline": Fraction(1), "two_thirds": Fraction(2, 3)}
 
 
 def _flat(sequence: FrameSequence, label: str) -> vprocessor.ProcessedVideo:
+    from . import vprocessor
     return vprocessor.decimate_uniform(
         sequence, sequence.fps * _FLAT_SHARES[label], label)
 
 
 def _processed_for_profile(sequence: FrameSequence, args,
                            config: PipelineConfig) -> vprocessor.ProcessedVideo:
+    from . import similarity, vprocessor
     if args.profile in _FLAT_SHARES:
         return _flat(sequence, args.profile)
     series = similarity.diff_series(sequence, config.similarity)
@@ -299,6 +319,7 @@ def _processed_for_profile(sequence: FrameSequence, args,
 
 
 def cmd_process(args, config: PipelineConfig) -> int:
+    from . import vprocessor
     sequence = _load_video(args)
     video = _processed_for_profile(sequence, args, config)
     if args.mode == "hold":
@@ -336,6 +357,7 @@ def _tree_manifest(root: str,
     bandwidth comes from the files' total size over the clip duration, and
     the frame size from the first segment's header.
     """
+    from . import frame_source
     urls: Dict[EvsoLevel, List[str]] = {}
     bandwidths: Dict[EvsoLevel, int] = {}
     dims: Optional[FrameDims] = None
@@ -371,6 +393,8 @@ def _write_tree(root: str, sequence: FrameSequence,
     root is a fresh private directory, so files are written in place.
     Returns the chunk count and each level's bandwidth.
     """
+    from . import similarity, vprocessor
+
     def put(rel: str, data: bytes) -> None:
         path = os.path.join(root, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -488,6 +512,7 @@ def cmd_manifest(args, config: PipelineConfig) -> int:
 
 
 def cmd_correlate(args, config: PipelineConfig) -> int:
+    from . import frame_source, similarity
     if args.corpus:
         with open(args.corpus, "r") as fh:
             sequences = frame_source.build_corpus(json.load(fh))
@@ -548,7 +573,8 @@ def cmd_serve(args, config: PipelineConfig) -> int:
 
 
 def cmd_synth(args, config: PipelineConfig) -> int:
-    fps = as_fps(args.fps)
+    from . import frame_source
+    fps = frame_source.as_fps(args.fps)
     if args.kind == "static":
         sequence = frame_source.synth_static(args.dims, args.count, args.luma,
                                              fps)

@@ -74,6 +74,10 @@ class FrameDims:
     height: int
 
     def __post_init__(self) -> None:
+        # 96.0 would give a float grid, and True passes as 1.
+        if type(self.width) is not int or type(self.height) is not int:
+            raise TypeError(f"dims must be integers, got "
+                            f"{self.width!r}x{self.height!r}")
         if self.width < MACROBLOCK_EDGE or self.height < MACROBLOCK_EDGE:
             raise ValueError(
                 f"dims {self.width}x{self.height} smaller than one "

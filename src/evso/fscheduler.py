@@ -13,10 +13,12 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ChunkTooSmall, WindowOutOfRange
-from .similarity import DiffSeries
+
+if TYPE_CHECKING:
+    from .similarity import DiffSeries
 
 DEFAULT_TAUS = (500, 1500, 3000, 6000)
 
@@ -28,6 +30,22 @@ PROFILE_FACTORS = {
     "evso_plus": (0.5, 0.73, 0.83, 0.9, 1),
     "evso_plus_plus": (0.43, 0.6, 0.7, 0.8, 0.93),
 }
+
+
+@dataclass(frozen=True)
+class SimilarityConfig:
+    """Tunables for the macroblock difference measure in `similarity`.
+
+    Defined here, beside the other stage configs, so that the whole pipeline
+    configuration loads without numpy.
+    """
+
+    #: Per-macroblock SAD threshold: a block is "changed" only strictly above it.
+    theta: int = 320
+
+    def __post_init__(self) -> None:
+        if self.theta < 0:
+            raise ValueError(f"theta must be >= 0, got {self.theta}")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .errors import (
     TooFewFrames,
 )
 from .frame_source import MACROBLOCK_EDGE, FrameDims, FrameSequence
+from .fscheduler import SimilarityConfig
 
 #: Linear model mapping a per-pair changed-macroblock count to expected SSIM.
 REGRESSION_INTERCEPT = 1.0063
@@ -33,18 +34,6 @@ REGRESSION_SLOPE = -1.5903e-5
 _SSIM_EDGE = 8
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """Tunables for the macroblock difference measure."""
-
-    #: Per-macroblock SAD threshold: a block is "changed" only strictly above it.
-    theta: int = 320
-
-    def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
 
 
 class PairDiff(NamedTuple):

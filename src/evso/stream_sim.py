@@ -16,12 +16,15 @@ import threading
 import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
+                    TextIO, Tuple, Union)
 
 from .empd import AdaptationSet, EmpdManifest, EvsoLevel, Representation
 from .errors import (BindFailure, InvariantViolation, MalformedDocument,
                      MissingManifest, NoVideoSets)
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 
 class BatteryLevel(Enum):
@@ -242,6 +245,9 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
     The directory must already contain the manifest. Port 0 binds an
     ephemeral port; the handle reports the one chosen.
     """
+    # Imported here, so the commands that only read manifests never load it.
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
     root = os.path.realpath(os.fspath(root_dir))
     if not os.path.isfile(os.path.join(root, manifest_name)):
         raise MissingManifest(f"{manifest_name} not found under {root}")

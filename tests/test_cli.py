@@ -100,9 +100,15 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out == "[0, 24]\n"
 
 
-def _run_cold(code):
-    """Run `code` in a fresh interpreter that finds evso only in src/."""
+def _run_cold(code, **env_vars):
+    """Run `code` in a fresh interpreter that finds evso only in src/.
+
+    The child sees env_vars and not the OPENBLAS_NUM_THREADS that importing
+    evso.cli set in this process.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -114,12 +120,62 @@ def _run_cold(code):
                  " or m in ('numpy', 'http.server')]\n"
                  "assert not loaded, loaded", id="package"),
     pytest.param("import sys, evso.stream_sim\n"
-                 "assert 'numpy' not in sys.modules", id="stream_sim"),
+                 "assert 'numpy' not in sys.modules\n"
+                 "assert 'http.server' not in sys.modules", id="stream_sim"),
+    pytest.param("import sys, evso.fscheduler\n"
+                 "assert 'numpy' not in sys.modules", id="fscheduler"),
+    pytest.param("import sys, evso.empd\n"
+                 "assert 'numpy' not in sys.modules", id="empd"),
+    pytest.param("import sys, evso.cli\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "assert 'http.server' not in sys.modules", id="cli"),
     pytest.param("import evso\nassert not hasattr(evso, 'nope')",
                  id="unknown-name"),
 ])
 def test_cold_import_loads_only_what_is_named(code):
     _run_cold(code)
+
+
+def test_commands_that_touch_no_plane_load_no_numpy(tmp_path):
+    clip = _synth_clip(tmp_path)
+    tree = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(tree)]) == 0
+    trace = tmp_path / "trace.csv"
+    trace.write_text("segment_index,bandwidth_bps,battery_level\n"
+                     "0,1000000000,high\n")
+    manifest = str(tree / "manifest.mpd")
+    _run_cold("import sys\n"
+              "from evso import cli\n"
+              "assert cli.main(['--show-config']) == 0\n"
+              f"assert cli.main(['manifest', '--parse', {manifest!r}]) == 0\n"
+              f"assert cli.main(['simulate', {manifest!r},"
+              f" '--trace', {str(trace)!r}]) == 0\n"
+              "loaded = [m for m in ('numpy', 'http.server') if m in sys.modules]\n"
+              "assert not loaded, loaded")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_analyze_runs_in_one_thread(tmp_path):
+    clip = _synth_clip(tmp_path)
+    _run_cold("from evso import cli\n"
+              f"assert cli.main(['analyze', {str(clip)!r},"
+              f" '--out', {str(tmp_path / 'a.json')!r}]) == 0\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    threads = [l for l in fh if l.startswith('Threads:')]\n"
+              "assert threads == ['Threads:\\t1\\n'], threads")
+
+
+@pytest.mark.parametrize("code, env_vars", [
+    pytest.param("import os, evso.cli\n"
+                 "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'",
+                 {"OPENBLAS_NUM_THREADS": "2"}, id="user-value-wins"),
+    pytest.param("import os, evso.similarity\n"
+                 "assert 'OPENBLAS_NUM_THREADS' not in os.environ",
+                 {}, id="library-import-sets-nothing"),
+])
+def test_blas_thread_default_is_set_by_cli_only(code, env_vars):
+    _run_cold(code, **env_vars)
 
 
 def test_traced_benchmark_targets_resolve_on_package():

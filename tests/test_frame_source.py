@@ -64,6 +64,14 @@ def test_dims_smaller_than_one_macroblock_rejected():
         FrameDims(64, 8)
 
 
+@pytest.mark.parametrize("size", [96.5, 96.0, True, "96"])
+def test_dims_must_be_integers(size):
+    with pytest.raises(TypeError, match="dims must be integers"):
+        FrameDims(size, 64)
+    with pytest.raises(TypeError, match="dims must be integers"):
+        FrameDims(96, size)
+
+
 def test_sequence_holds_read_only_planes_and_leaves_caller_arrays_writable():
     plane = np.arange(512, dtype=np.uint8).reshape(16, 32)
     seq = FrameSequence(frames=(plane, plane), fps=30)

@@ -26,13 +26,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from . import empd, fscheduler, stream_sim
 from .empd import EvsoLevel
 from .errors import EvsoError, MalformedDocument
-from .fscheduler import (PROFILE_FACTORS, ScheduleConfig, SimilarityConfig,
-                         SplitConfig)
+from .fscheduler import (PROFILE_FACTORS, DiffSeries, FrameDims, PairDiff,
+                         ScheduleConfig, SimilarityConfig, SplitConfig, as_fps)
 
 if TYPE_CHECKING:
     from . import vprocessor
-    from .frame_source import FrameDims, FrameSequence
-    from .similarity import DiffSeries
+    from .frame_source import FrameSequence
 
 # The modules above are numpy-free; frame_source, similarity and vprocessor
 # are imported only by the functions that read or write planes. No command
@@ -90,11 +89,24 @@ def format_config(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise MalformedDocument(f"number {text} is not finite")
+    return value
+
+
+def _read_json(path: str):
+    """A JSON file's value. NaN, Infinity and numbers that overflow a float,
+    such as 1e999, are refused: no output could carry them as JSON."""
+    with open(path, "r") as fh:
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
+
+
 def load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    with open(path, "r") as fh:
-        return PipelineConfig.from_dict(json.load(fh))
+    return PipelineConfig.from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +141,6 @@ def _emit(args, text: str) -> None:
 
 
 def _parse_dims(text: str) -> FrameDims:
-    from .frame_source import FrameDims
     width, _, height = text.lower().partition("x")
     try:
         return FrameDims(int(width), int(height))
@@ -147,8 +158,8 @@ def _load_video(args) -> FrameSequence:
         raise EvsoError(
             "raw input needs --dims WxH and --fps (or use a .y4m file)"
         )
-    return frame_source.read_raw_yuv(path, args.dims,
-                                     frame_source.as_fps(args.fps), args.layout)
+    return frame_source.read_raw_yuv(path, args.dims, as_fps(args.fps),
+                                     args.layout)
 
 
 def _add_video_input(parser: argparse.ArgumentParser,
@@ -184,8 +195,6 @@ def _json_ints(*values) -> tuple:
 
 
 def _series_from_doc(doc: dict) -> DiffSeries:
-    from .frame_source import FrameDims, as_fps
-    from .similarity import DiffSeries, PairDiff
     try:
         pairs = []
         for pos, p in enumerate(doc["pairs"]):
@@ -197,21 +206,20 @@ def _series_from_doc(doc: dict) -> DiffSeries:
                 raise TypeError(f"pair {pos} has ssim {ssim!r}")
             pairs.append(PairDiff(*counts, ssim=ssim))
         dims = FrameDims(*_json_ints(doc["width"], doc["height"]))
-        return DiffSeries(dims=dims, fps=as_fps(doc["fps"]), pairs=pairs)
+        return DiffSeries(dims=dims, fps=doc["fps"], pairs=pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not an analysis document: {exc!r}") from None
 
 
 def _obtain_series(args, config: PipelineConfig) -> DiffSeries:
-    from . import similarity
     analysis = getattr(args, "analysis", None)
     if analysis:
         if args.input:
             raise EvsoError("give either a video input or --analysis, not both")
-        with open(analysis, "r") as fh:
-            return _series_from_doc(json.load(fh))
+        return _series_from_doc(_read_json(analysis))
     if not args.input:
         raise EvsoError("need a video input or --analysis")
+    from . import similarity
     return similarity.diff_series(_load_video(args), config.similarity)
 
 
@@ -234,8 +242,10 @@ def _schedule_to_doc(sched: fscheduler.RateSchedule) -> dict:
 
 
 def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
-    from .frame_source import as_fps
     try:
+        frame_count = _json_ints(doc["frame_count"])[0]
+        if frame_count < 1:
+            raise ValueError(f"frame_count {frame_count} is not positive")
         entries = tuple(
             fscheduler.ChunkScheduleEntry(
                 range=fscheduler.ChunkRange(*_json_ints(c["start"], c["end"])),
@@ -244,7 +254,7 @@ def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
             for c in doc["chunks"]
         )
         return fscheduler.RateSchedule(
-            entries=entries, frame_count=_json_ints(doc["frame_count"])[0],
+            entries=entries, frame_count=frame_count,
             fps=as_fps(doc["fps"]), gamma=as_fps(doc["gamma"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -252,7 +262,7 @@ def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +279,6 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
 
 
 def cmd_split(args, config: PipelineConfig) -> int:
-    from .frame_source import as_fps
     series = _obtain_series(args, config)
     gamma = as_fps(args.gamma) if args.gamma else series.fps
     plan = fscheduler.split(series, gamma=gamma, config=config.split)
@@ -286,7 +295,6 @@ def cmd_split(args, config: PipelineConfig) -> int:
 def _schedule(series: DiffSeries, args,
               config: PipelineConfig) -> fscheduler.RateSchedule:
     """Split and rate a series at --gamma, or at the source rate without it."""
-    from .frame_source import as_fps
     gamma = as_fps(args.gamma) if args.gamma else series.fps
     return fscheduler.schedule(series, gamma=gamma, split_config=config.split,
                                schedule_config=config.schedule)
@@ -503,8 +511,8 @@ def cmd_manifest(args, config: PipelineConfig) -> int:
 
     if not args.dir:
         raise EvsoError("need a pipeline output dir or --parse FILE")
-    with open(os.path.join(args.dir, "schedule.json"), "r") as fh:
-        sched = _schedule_from_doc(json.load(fh))
+    sched = _schedule_from_doc(_read_json(os.path.join(args.dir,
+                                                       "schedule.json")))
     out = args.out or os.path.join(args.dir, "manifest.mpd")
     _write_bytes(out, empd.serialize_xml(_tree_manifest(args.dir, sched)))
     print(out)
@@ -514,8 +522,7 @@ def cmd_manifest(args, config: PipelineConfig) -> int:
 def cmd_correlate(args, config: PipelineConfig) -> int:
     from . import frame_source, similarity
     if args.corpus:
-        with open(args.corpus, "r") as fh:
-            sequences = frame_source.build_corpus(json.load(fh))
+        sequences = frame_source.build_corpus(_read_json(args.corpus))
     else:
         sequences = frame_source.standard_corpus()
     diffs: List[int] = []
@@ -574,7 +581,7 @@ def cmd_serve(args, config: PipelineConfig) -> int:
 
 def cmd_synth(args, config: PipelineConfig) -> int:
     from . import frame_source
-    fps = frame_source.as_fps(args.fps)
+    fps = as_fps(args.fps)
     if args.kind == "static":
         sequence = frame_source.synth_static(args.dims, args.count, args.luma,
                                              fps)

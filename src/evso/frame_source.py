@@ -23,81 +23,11 @@ from .errors import (
     TruncatedFrame,
     UnsupportedColorSpace,
 )
-
-MACROBLOCK_EDGE = 16
+from .fscheduler import FpsLike, FrameDims, as_fps
 
 #: Y4M color spaces accepted by read_y4m. Anything else raises
 #: UnsupportedColorSpace. An absent C tag means 4:2:0 per the Y4M convention.
 _Y4M_420_TAGS = frozenset({"420", "420jpeg", "420mpeg2", "420paldv"})
-
-FpsLike = Union[int, float, str, Fraction]
-
-
-def as_fps(value: FpsLike) -> Fraction:
-    """Normalize a frame rate to an exact positive Fraction.
-
-    Accepts ints, Fractions, "num/den" or decimal strings, and floats
-    (floats go through their decimal repr, so 29.97 becomes 2997/100).
-    """
-    if isinstance(value, Fraction):
-        fps = value
-    elif isinstance(value, int) and not isinstance(value, bool):
-        fps = Fraction(value)
-    elif isinstance(value, float):
-        fps = Fraction(str(value))
-    elif isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, den = (int(part) for part in text.split("/", 1))
-            if den == 0:
-                raise ValueError(f"frame rate {value!r} has a zero denominator")
-            fps = Fraction(num, den)
-        else:
-            fps = Fraction(text)
-    else:
-        raise TypeError(f"cannot interpret {value!r} as a frame rate")
-    if fps <= 0:
-        raise ValueError(f"frame rate must be positive, got {value!r}")
-    return fps
-
-
-@dataclass(frozen=True)
-class FrameDims:
-    """Frame geometry plus the derived full-macroblock grid.
-
-    Macroblocks are 16x16 luma samples. Partial blocks at the right/bottom
-    edges are excluded from the grid, so mb_rows/mb_cols use floor division
-    and a frame must be at least one macroblock in each direction.
-    """
-
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        # 96.0 would give a float grid, and True passes as 1.
-        if type(self.width) is not int or type(self.height) is not int:
-            raise TypeError(f"dims must be integers, got "
-                            f"{self.width!r}x{self.height!r}")
-        if self.width < MACROBLOCK_EDGE or self.height < MACROBLOCK_EDGE:
-            raise ValueError(
-                f"dims {self.width}x{self.height} smaller than one "
-                f"{MACROBLOCK_EDGE}x{MACROBLOCK_EDGE} macroblock"
-            )
-
-    @property
-    def mb_rows(self) -> int:
-        return self.height // MACROBLOCK_EDGE
-
-    @property
-    def mb_cols(self) -> int:
-        return self.width // MACROBLOCK_EDGE
-
-    @property
-    def pixels(self) -> int:
-        return self.width * self.height
-
-    def __str__(self) -> str:
-        return f"{self.width}x{self.height}"
 
 
 def _uint8_plane(plane) -> np.ndarray:

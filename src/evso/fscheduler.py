@@ -5,6 +5,11 @@ and cuts a new chunk where local variance or the instantaneous diff spikes,
 provided the current chunk is already longer than the playback rate. Each
 chunk then receives one target rate per battery profile from a step function
 over its diff magnitudes plus a small variance bonus.
+
+This module is the numpy-free bottom of the package: it also defines the
+records the other stages share (frame rates, frame geometry, per-pair
+diffs) and the similarity config, so a saved analysis can be scheduled and
+the whole configuration loaded without numpy.
 """
 
 from __future__ import annotations
@@ -13,12 +18,134 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ChunkTooSmall, WindowOutOfRange
 
-if TYPE_CHECKING:
-    from .similarity import DiffSeries
+MACROBLOCK_EDGE = 16
+
+FpsLike = Union[int, float, str, Fraction]
+
+
+def as_fps(value: FpsLike) -> Fraction:
+    """Normalize a frame rate to an exact positive Fraction.
+
+    Accepts ints, Fractions, "num/den" or decimal strings, and floats
+    (floats go through their decimal repr, so 29.97 becomes 2997/100).
+    """
+    if isinstance(value, Fraction):
+        fps = value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        fps = Fraction(value)
+    elif isinstance(value, float):
+        fps = Fraction(str(value))
+    elif isinstance(value, str):
+        text = value.strip()
+        if "/" in text:
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise ValueError(f"frame rate {value!r} has a zero denominator")
+            fps = Fraction(num, den)
+        else:
+            fps = Fraction(text)
+    else:
+        raise TypeError(f"cannot interpret {value!r} as a frame rate")
+    if fps <= 0:
+        raise ValueError(f"frame rate must be positive, got {value!r}")
+    return fps
+
+
+@dataclass(frozen=True)
+class FrameDims:
+    """Frame geometry plus the derived full-macroblock grid.
+
+    Macroblocks are 16x16 luma samples. Partial blocks at the right/bottom
+    edges are excluded from the grid, so mb_rows/mb_cols use floor division
+    and a frame must be at least one macroblock in each direction.
+    """
+
+    width: int
+    height: int
+
+    def __post_init__(self) -> None:
+        # 96.0 would give a float grid, and True passes as 1.
+        if type(self.width) is not int or type(self.height) is not int:
+            raise TypeError(f"dims must be integers, got "
+                            f"{self.width!r}x{self.height!r}")
+        if self.width < MACROBLOCK_EDGE or self.height < MACROBLOCK_EDGE:
+            raise ValueError(
+                f"dims {self.width}x{self.height} smaller than one "
+                f"{MACROBLOCK_EDGE}x{MACROBLOCK_EDGE} macroblock"
+            )
+
+    @property
+    def mb_rows(self) -> int:
+        return self.height // MACROBLOCK_EDGE
+
+    @property
+    def mb_cols(self) -> int:
+        return self.width // MACROBLOCK_EDGE
+
+    @property
+    def pixels(self) -> int:
+        return self.width * self.height
+
+    def __str__(self) -> str:
+        return f"{self.width}x{self.height}"
+
+
+class PairDiff(NamedTuple):
+    """Difference measures for one adjacent pair of frames."""
+
+    m_diff: int
+    y_diff: int
+    ssim: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class DiffSeries:
+    """Per-pair differences for one sequence, in frame order.
+
+    `pairs[i]` describes frames (i, i+1), so a series over N frames holds
+    N-1 entries. Usable both as the output of diff_series and as a directly
+    constructed input to the splitter.
+    """
+
+    dims: FrameDims
+    fps: Fraction
+    pairs: Tuple[PairDiff, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fps", as_fps(self.fps))
+        pairs = tuple(self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if not pairs:
+            raise ValueError("a diff series needs at least one pair")
+        grid = self.dims.mb_rows * self.dims.mb_cols
+        for pos, pair in enumerate(pairs):
+            if not 0 <= pair.m_diff <= grid:
+                raise ValueError(
+                    f"pair {pos}: m_diff {pair.m_diff} outside [0, {grid}]"
+                )
+            if pair.y_diff < 0:
+                raise ValueError(f"pair {pos}: negative y_diff")
+
+    @classmethod
+    def from_m_diffs(cls, m_diffs: Sequence[int], dims: FrameDims,
+                     fps: FpsLike = 30) -> "DiffSeries":
+        """Wrap bare changed-block counts; y_diff is filled with zeros."""
+        pairs = tuple(PairDiff(m_diff=int(d), y_diff=0) for d in m_diffs)
+        return cls(dims=dims, fps=fps, pairs=pairs)
+
+    @property
+    def frame_count(self) -> int:
+        return len(self.pairs) + 1
+
+    @cached_property
+    def m_diffs(self) -> Tuple[int, ...]:
+        return tuple(p.m_diff for p in self.pairs)
+
 
 DEFAULT_TAUS = (500, 1500, 3000, 6000)
 
@@ -34,11 +161,7 @@ PROFILE_FACTORS = {
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    """Tunables for the macroblock difference measure in `similarity`.
-
-    Defined here, beside the other stage configs, so that the whole pipeline
-    configuration loads without numpy.
-    """
+    """Tunables for the macroblock difference measure in `similarity`."""
 
     #: Per-macroblock SAD threshold: a block is "changed" only strictly above it.
     theta: int = 320

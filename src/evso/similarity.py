@@ -10,10 +10,7 @@ validation experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +21,8 @@ from .errors import (
     FrameTooSmall,
     TooFewFrames,
 )
-from .frame_source import MACROBLOCK_EDGE, FrameDims, FrameSequence
-from .fscheduler import SimilarityConfig
+from .frame_source import FrameSequence
+from .fscheduler import MACROBLOCK_EDGE, DiffSeries, PairDiff, SimilarityConfig
 
 #: Linear model mapping a per-pair changed-macroblock count to expected SSIM.
 REGRESSION_INTERCEPT = 1.0063
@@ -34,57 +31,6 @@ REGRESSION_SLOPE = -1.5903e-5
 _SSIM_EDGE = 8
 _SSIM_C1 = (0.01 * 255.0) ** 2
 _SSIM_C2 = (0.03 * 255.0) ** 2
-
-
-class PairDiff(NamedTuple):
-    """Difference measures for one adjacent pair of frames."""
-
-    m_diff: int
-    y_diff: int
-    ssim: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class DiffSeries:
-    """Per-pair differences for one sequence, in frame order.
-
-    `pairs[i]` describes frames (i, i+1), so a series over N frames holds
-    N-1 entries. Usable both as the output of diff_series and as a directly
-    constructed input to the splitter.
-    """
-
-    dims: FrameDims
-    fps: Fraction
-    pairs: Tuple[PairDiff, ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple(self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if not pairs:
-            raise ValueError("a diff series needs at least one pair")
-        grid = self.dims.mb_rows * self.dims.mb_cols
-        for pos, pair in enumerate(pairs):
-            if not 0 <= pair.m_diff <= grid:
-                raise ValueError(
-                    f"pair {pos}: m_diff {pair.m_diff} outside [0, {grid}]"
-                )
-            if pair.y_diff < 0:
-                raise ValueError(f"pair {pos}: negative y_diff")
-
-    @classmethod
-    def from_m_diffs(cls, m_diffs: Sequence[int], dims: FrameDims,
-                     fps: Union[int, Fraction] = 30) -> "DiffSeries":
-        """Wrap bare changed-block counts; y_diff is filled with zeros."""
-        pairs = tuple(PairDiff(m_diff=int(d), y_diff=0) for d in m_diffs)
-        return cls(dims=dims, fps=Fraction(fps), pairs=pairs)
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.pairs) + 1
-
-    @cached_property
-    def m_diffs(self) -> Tuple[int, ...]:
-        return tuple(p.m_diff for p in self.pairs)
 
 
 def _check_same_dims(a: np.ndarray, b: np.ndarray) -> None:

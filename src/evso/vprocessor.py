@@ -178,33 +178,22 @@ def _held_planes(video: ProcessedVideo,
         yield last_plane, own
 
 
-def hold_sequence(video: ProcessedVideo,
-                  sequence: FrameSequence) -> FrameSequence:
-    """Source-length reconstruction: dropped frames repeat the last kept one.
-
-    The result plays at the source rate with the source frame count, which
-    makes it directly comparable to the original frame by frame.
-    """
-    _check_sequence(sequence, video.frame_count, video.fps)
-    planes = tuple(plane for plane, _ in _held_planes(video, sequence))
-    return FrameSequence(frames=planes, fps=sequence.fps)
-
-
 def hold_stream(video: ProcessedVideo, sequence: FrameSequence) -> bytes:
-    """Mono Y4M of the held reconstruction at the source rate."""
-    held = hold_sequence(video, sequence)
-    return encode_y4m(list(held), held.fps)
+    """Mono Y4M of the held reconstruction: dropped frames repeat the last
+    kept one. It plays at the source rate with the source frame count, so it
+    compares with the original frame by frame."""
+    _check_sequence(sequence, video.frame_count, video.fps)
+    planes = [plane for plane, _ in _held_planes(video, sequence)]
+    return encode_y4m(planes, sequence.fps)
 
 
 @dataclass(frozen=True)
 class QualityReport:
     """Similarity of the held reconstruction against the source."""
 
-    label: str
     frame_count: int
     kept_count: int
     mean_ssim: float
-    per_chunk_mean_ssim: Tuple[float, ...]
 
     @property
     def dropped_count(self) -> int:
@@ -223,18 +212,10 @@ def quality_report(video: ProcessedVideo,
     without being recomputed; only dropped positions are measured.
     """
     _check_sequence(sequence, video.frame_count, video.fps)
-    held = list(_held_planes(video, sequence))
-    per_chunk = []
     total = 0.0
-    for chunk in video.chunks:
-        chunk_total = 0.0
-        for pos in range(chunk.range.start, chunk.range.end):
-            plane, own = held[pos]
-            chunk_total += 1.0 if own else ssim(plane, sequence[pos])
-        per_chunk.append(chunk_total / chunk.range.frame_count)
-        total += chunk_total
+    for pos, (plane, own) in enumerate(_held_planes(video, sequence)):
+        total += 1.0 if own else ssim(plane, sequence[pos])
     return QualityReport(
-        label=video.label, frame_count=video.frame_count,
-        kept_count=video.kept_count, mean_ssim=total / video.frame_count,
-        per_chunk_mean_ssim=tuple(per_chunk),
+        frame_count=video.frame_count, kept_count=video.kept_count,
+        mean_ssim=total / video.frame_count,
     )

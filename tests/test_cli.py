@@ -69,7 +69,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 _BAD_CONFIGS = {"list": '[1]', "theta-str": '{"theta": "x"}',
                 "taus-int": '{"taus": 5}',
                 "profile-int": '{"profiles": {"evso": 5}}',
-                "k_window-float": '{"k_window": 2.5}'}
+                "k_window-float": '{"k_window": 2.5}',
+                "alpha-nan": '{"alpha": NaN}',
+                "delta-1e999": '{"delta": 1e999}'}
 
 
 @pytest.mark.parametrize("text", ["{", *_BAD_CONFIGS.values()],
@@ -123,7 +125,10 @@ def _run_cold(code, **env_vars):
                  "assert 'numpy' not in sys.modules\n"
                  "assert 'http.server' not in sys.modules", id="stream_sim"),
     pytest.param("import sys, evso.fscheduler\n"
-                 "assert 'numpy' not in sys.modules", id="fscheduler"),
+                 "assert 'numpy' not in sys.modules\n"
+                 "loaded = sorted(m for m in sys.modules if m.startswith('evso.'))\n"
+                 "assert loaded == ['evso.errors', 'evso.fscheduler'], loaded",
+                 id="fscheduler"),
     pytest.param("import sys, evso.empd\n"
                  "assert 'numpy' not in sys.modules", id="empd"),
     pytest.param("import sys, evso.cli\n"
@@ -140,6 +145,8 @@ def test_commands_that_touch_no_plane_load_no_numpy(tmp_path):
     clip = _synth_clip(tmp_path)
     tree = tmp_path / "tree"
     assert cli.main(["pipeline", str(clip), str(tree)]) == 0
+    analysis = str(tmp_path / "a.json")
+    assert cli.main(["analyze", str(clip), "--out", analysis]) == 0
     trace = tmp_path / "trace.csv"
     trace.write_text("segment_index,bandwidth_bps,battery_level\n"
                      "0,1000000000,high\n")
@@ -150,6 +157,8 @@ def test_commands_that_touch_no_plane_load_no_numpy(tmp_path):
               f"assert cli.main(['manifest', '--parse', {manifest!r}]) == 0\n"
               f"assert cli.main(['simulate', {manifest!r},"
               f" '--trace', {str(trace)!r}]) == 0\n"
+              f"assert cli.main(['split', '--analysis', {analysis!r}]) == 0\n"
+              f"assert cli.main(['schedule', '--analysis', {analysis!r}]) == 0\n"
               "loaded = [m for m in ('numpy', 'http.server') if m in sys.modules]\n"
               "assert not loaded, loaded")
 
@@ -434,6 +443,7 @@ def test_manifest_rejects_schedule_lacking_chunks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("frame_count", 90.5),
+                                          ("frame_count", 0),
                                           ("fps", True), ("start", 0.0),
                                           ("end", True)])
 def test_manifest_rejects_schedule_with_non_integer_counts(tmp_path, capsys,
@@ -670,7 +680,9 @@ def test_simulate_plays_longest_representation_when_first_is_empty(
       for name, bad in (("fps-true", {"fps": True}),
                         ("width-float", {"width": 96.5}),
                         ("ssim-str", {"pairs": [{"index": 0, "m_diff": 0,
-                                                 "ssim": "abc"}]}))],
+                                                 "ssim": "abc"}]}),
+                        ("ssim-nan", {"pairs": [{"index": 0, "m_diff": 0,
+                                                 "ssim": float("nan")}]}))],
     *[pytest.param({"corpus.json": json.dumps(corpus)},
                    ["correlate", "--corpus", "corpus.json"], id=f"corpus-{name}")
       for name, corpus in (

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from evso.errors import ChunkTooSmall, WindowOutOfRange
-from evso.frame_source import FrameDims
 from evso.fscheduler import (
     ChunkPlan,
     ChunkRange,
+    DiffSeries,
+    FrameDims,
+    PairDiff,
     ScheduleConfig,
     SplitConfig,
     chunk_sigma,
@@ -22,7 +24,6 @@ from evso.fscheduler import (
     schedule,
     split,
 )
-from evso.similarity import DiffSeries
 
 BIG = FrameDims(2560, 1600)  # 16000-block grid, lets diffs clear beta
 MID = FrameDims(1600, 1024)  # 6400-block grid
@@ -30,6 +31,16 @@ MID = FrameDims(1600, 1024)  # 6400-block grid
 
 def _series(m_diffs, dims=MID, fps=30):
     return DiffSeries.from_m_diffs(m_diffs, dims, fps)
+
+
+def test_diff_series_normalizes_fps_like_a_frame_sequence():
+    series = DiffSeries(dims=MID, fps="30000/1001", pairs=(PairDiff(0, 0),))
+    assert series.fps == Fraction(30000, 1001)
+    assert type(series.fps) is Fraction
+    assert DiffSeries.from_m_diffs([0], MID, 29.97).fps == Fraction(2997, 100)
+    for bad in (0, "1/0", True):
+        with pytest.raises((TypeError, ValueError)):
+            DiffSeries(dims=MID, fps=bad, pairs=(PairDiff(0, 0),))
 
 
 def test_rolling_stats_all_equal_window():

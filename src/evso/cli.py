@@ -48,7 +48,8 @@ class PipelineConfig:
     """Every tunable of the pipeline, JSON-loadable as one flat document.
 
     The document's keys are the fields of the three stage configs, in order;
-    their defaults live in those classes.
+    their defaults live in those classes. A "profiles" object overrides the
+    profiles it names; a name no level plays is refused.
     """
 
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
@@ -70,6 +71,11 @@ class PipelineConfig:
         if unknown:
             raise MalformedDocument(f"unknown config keys: {', '.join(unknown)}")
         merged.update(doc)
+        if isinstance(doc.get("profiles"), dict):
+            unknown = sorted(set(doc["profiles"]) - set(PROFILE_FACTORS))
+            if unknown:
+                raise MalformedDocument(f"unknown profiles: {', '.join(unknown)}")
+            merged["profiles"] = {**PROFILE_FACTORS, **doc["profiles"]}
         try:
             return cls(*(kind(**{f.name: merged[f.name] for f in fields(kind)})
                          for kind in (SimilarityConfig, SplitConfig,
@@ -420,10 +426,7 @@ def _write_tree(root: str, sequence: FrameSequence,
                                                   ranges)
         else:
             video = vprocessor.process(sequence, sched, profile)
-        # `blobs` must outlive this loop: the live buffers keep glibc from
-        # trimming the heap top that every ssim call below reallocates.
-        blobs = vprocessor.segment_streams(video, sequence)
-        for i, blob in enumerate(blobs):
+        for i, blob in enumerate(vprocessor.segment_streams(video, sequence)):
             put(f"segments/{level.value}/chunk_{i:03d}.y4m", blob)
         videos[level.value] = video
 

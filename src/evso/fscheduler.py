@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -51,8 +52,10 @@ def as_fps(value: FpsLike) -> Fraction:
             fps = Fraction(text)
     else:
         raise TypeError(f"cannot interpret {value!r} as a frame rate")
-    if fps <= 0:
-        raise ValueError(f"frame rate must be positive, got {value!r}")
+    # Rates are also used as floats: 10**400 would overflow, 10**-400 read 0.
+    if not math.ulp(0.0) <= fps <= sys.float_info.max:
+        raise ValueError(f"frame rate must be positive and fit a float, "
+                         f"got {value!r}")
     return fps
 
 

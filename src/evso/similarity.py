@@ -104,16 +104,31 @@ def y_diff(a: np.ndarray, b: np.ndarray) -> int:
     return _plane_sad(_abs_diff(a, b))
 
 
-def _window_sums(values: np.ndarray, edge: int) -> np.ndarray:
-    """Sums over every edge x edge window fully inside the plane (stride 1)."""
-    table = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=np.int64)
+def _window_sums(values: np.ndarray, edge: int, table: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Sums over every edge x edge window fully inside the plane (stride 1),
+    into out; table is int64 work space one larger each way, zero-bordered."""
     np.cumsum(values, axis=0, out=table[1:, 1:])
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-    return (table[edge:, edge:] - table[:-edge, edge:]
-            - table[edge:, :-edge] + table[:-edge, :-edge])
+    np.subtract(table[edge:, edge:], table[:-edge, edge:], out=out)
+    out -= table[edge:, :-edge]
+    out += table[:-edge, :-edge]
+    return out
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
+def ssim_work(shape: Tuple[int, int]) -> tuple:
+    """Work arrays for `ssim` on planes of one shape. A caller scoring many
+    pairs passes one set to every call: had each call freed its dozen
+    plane-sized temporaries, glibc could trim the heap top after every call
+    and the next call would fault the pages back in."""
+    height, width = shape
+    windows = (height - _SSIM_EDGE + 1, width - _SSIM_EDGE + 1)
+    return (*np.empty((3, height, width), np.int64),
+            np.zeros((height + 1, width + 1), np.int64),
+            np.empty(windows, np.int64), *np.empty((6, *windows)))
+
+
+def ssim(a: np.ndarray, b: np.ndarray, work: Optional[tuple] = None) -> float:
     """Mean structural similarity over 8x8 uniform windows, luma only.
 
     Windows slide with stride 1 and only fully interior positions count.
@@ -122,7 +137,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     Identical planes return exactly 1.0 without computing any window, the
     value the formula gives for them. Samples are taken as int64 (luma is
     integer), and window sums are exact in int64; below 2**53 a float64 sum
-    reaches the same values.
+    reaches the same values. It works in place in `work`, from `ssim_work`
+    (a fresh set when not given); the result does not depend on it.
     """
     _check_same_dims(a, b)
     if a.shape[0] < _SSIM_EDGE or a.shape[1] < _SSIM_EDGE:
@@ -131,22 +147,32 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         )
     if np.array_equal(a, b):
         return 1.0
-    pa = a.astype(np.int64)
-    pb = b.astype(np.int64)
-    area = float(_SSIM_EDGE * _SSIM_EDGE)
-    s_a = _window_sums(pa, _SSIM_EDGE)
-    s_b = _window_sums(pb, _SSIM_EDGE)
-    s_aa = _window_sums(pa * pa, _SSIM_EDGE)
-    s_bb = _window_sums(pb * pb, _SSIM_EDGE)
-    s_ab = _window_sums(pa * pb, _SSIM_EDGE)
-    mu_a = s_a / area
-    mu_b = s_b / area
-    var_a = s_aa / area - mu_a * mu_a
-    var_b = s_bb / area - mu_b * mu_b
-    cov = s_ab / area - mu_a * mu_b
-    numer = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-    denom = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
-    return float(np.mean(numer / denom))
+    pa, pb, prod, table, sums, mu_a, mu_b, var_a, var_b, cov, ab = (
+        work or ssim_work(a.shape))
+    if pa.shape != a.shape:
+        raise DimsMismatch(f"work arrays for {pa.shape}, planes {a.shape}")
+    np.copyto(pa, a, casting="unsafe")
+    np.copyto(pb, b, casting="unsafe")
+
+    def window_means(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        sums_of = _window_sums(values, _SSIM_EDGE, table, sums)
+        return np.divide(sums_of, float(_SSIM_EDGE * _SSIM_EDGE), out=out)
+
+    window_means(pa, mu_a)
+    window_means(pb, mu_b)
+    window_means(np.multiply(pa, pa, out=prod), var_a)
+    window_means(np.multiply(pb, pb, out=prod), var_b)
+    window_means(np.multiply(pa, pb, out=prod), cov)
+    cov -= np.multiply(mu_a, mu_b, out=ab)
+    var_a -= np.multiply(mu_a, mu_a, out=mu_a)  # mu_a, mu_b now hold squares
+    var_b -= np.multiply(mu_b, mu_b, out=mu_b)
+    # numer = (2 mu_a mu_b + C1)(2 cov + C2), as doubling a float is exact;
+    # denom = (mu_a^2 + mu_b^2 + C1)(var_a + var_b + C2).
+    numer = np.add(np.multiply(ab, 2.0, out=ab), _SSIM_C1, out=ab)
+    numer *= np.add(np.multiply(cov, 2.0, out=cov), _SSIM_C2, out=cov)
+    denom = np.add(np.add(mu_a, mu_b, out=mu_a), _SSIM_C1, out=mu_a)
+    denom *= np.add(np.add(var_a, var_b, out=var_a), _SSIM_C2, out=var_a)
+    return float(np.mean(np.divide(numer, denom, out=numer)))
 
 
 def diff_series(sequence: FrameSequence,
@@ -156,6 +182,7 @@ def diff_series(sequence: FrameSequence,
     if len(sequence) < 2:
         raise TooFewFrames(f"need >= 2 frames, got {len(sequence)}")
     cfg = config or SimilarityConfig()
+    work = ssim_work(sequence[0].shape) if with_ssim else None
     pairs = []
     for i in range(len(sequence) - 1):
         a, b = sequence[i], sequence[i + 1]
@@ -163,7 +190,7 @@ def diff_series(sequence: FrameSequence,
         pairs.append(PairDiff(
             m_diff=_changed_blocks(d, cfg.theta),
             y_diff=_plane_sad(d),
-            ssim=ssim(a, b) if with_ssim else None,
+            ssim=ssim(a, b, work) if with_ssim else None,
         ))
     return DiffSeries(dims=sequence.dims, fps=sequence.fps, pairs=tuple(pairs))
 

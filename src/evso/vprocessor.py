@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple, Union
-
-import numpy as np
+from itertools import accumulate
+from typing import Iterable, List, Tuple, Union
 
 from .errors import InvalidRate, ScheduleMismatch
 from .frame_source import FrameSequence, encode_y4m
 from .fscheduler import ChunkRange, RateSchedule
-from .similarity import ssim
+from .similarity import ssim, ssim_work
 
 #: Float targets are snapped to rationals with denominators up to this bound,
 #: which absorbs binary float error while preserving every intended rate.
@@ -66,10 +65,6 @@ class ProcessedChunk:
     target_rate: Fraction
     kept_indices: Tuple[int, ...]
 
-    @property
-    def kept_count(self) -> int:
-        return len(self.kept_indices)
-
 
 @dataclass(frozen=True)
 class ProcessedVideo:
@@ -82,7 +77,7 @@ class ProcessedVideo:
 
     @property
     def kept_count(self) -> int:
-        return sum(c.kept_count for c in self.chunks)
+        return sum(len(c.kept_indices) for c in self.chunks)
 
     @property
     def kept_indices(self) -> Tuple[int, ...]:
@@ -90,6 +85,16 @@ class ProcessedVideo:
         for chunk in self.chunks:
             out.extend(chunk.kept_indices)
         return tuple(out)
+
+    @property
+    def held(self) -> Tuple[int, ...]:
+        """Per source position, the index the held reconstruction shows
+        there: the last kept index at or before it. The walk starts at 0, so
+        the first frame is shown until a later one is kept, even if dropped."""
+        kept = set(self.kept_indices)
+        return tuple(accumulate(
+            range(self.frame_count),
+            lambda shown, pos: pos if pos in kept else shown))
 
     @property
     def avg_frame_rate(self) -> float:
@@ -109,35 +114,37 @@ def _check_sequence(sequence: FrameSequence, frame_count: int,
         )
 
 
+def _retime(sequence: FrameSequence, label: str,
+            targets: Iterable[Tuple[ChunkRange, RateLike]]) -> ProcessedVideo:
+    """Retime each (range, target rate) of a sequence as one chunk."""
+    chunks = []
+    for rng, rate in targets:
+        target = snap_rate(rate)
+        local = retime_indices(rng.frame_count, sequence.fps, target)
+        chunks.append(ProcessedChunk(
+            range=rng, target_rate=target,
+            kept_indices=tuple(rng.start + t for t in local),
+        ))
+    return ProcessedVideo(label=label, chunks=tuple(chunks),
+                          frame_count=len(sequence), fps=sequence.fps)
+
+
 def process(sequence: FrameSequence, rate_schedule: RateSchedule,
             profile_name: str) -> ProcessedVideo:
     """Retime every chunk of a sequence to its scheduled rate."""
     _check_sequence(sequence, rate_schedule.frame_count, rate_schedule.fps)
-    chunks = []
-    for entry in rate_schedule:
-        if profile_name not in entry.rates:
-            raise ScheduleMismatch(f"schedule has no profile {profile_name!r}")
-        target = snap_rate(entry.rates[profile_name])
-        local = retime_indices(entry.range.frame_count, sequence.fps, target)
-        chunks.append(ProcessedChunk(
-            range=entry.range, target_rate=target,
-            kept_indices=tuple(entry.range.start + t for t in local),
-        ))
-    return ProcessedVideo(label=profile_name, chunks=tuple(chunks),
-                          frame_count=len(sequence), fps=sequence.fps)
+    if any(profile_name not in entry.rates for entry in rate_schedule):
+        raise ScheduleMismatch(f"schedule has no profile {profile_name!r}")
+    return _retime(sequence, profile_name,
+                   ((entry.range, entry.rates[profile_name])
+                    for entry in rate_schedule))
 
 
 def decimate_uniform(sequence: FrameSequence, target_rate: RateLike,
                      label: str = "baseline") -> ProcessedVideo:
     """Retime a whole sequence as a single chunk at one flat rate."""
-    target = snap_rate(target_rate)
-    local = retime_indices(len(sequence), sequence.fps, target)
-    chunk = ProcessedChunk(
-        range=ChunkRange(0, len(sequence)), target_rate=target,
-        kept_indices=local,
-    )
-    return ProcessedVideo(label=label, chunks=(chunk,),
-                          frame_count=len(sequence), fps=sequence.fps)
+    return _retime(sequence, label,
+                   [(ChunkRange(0, len(sequence)), target_rate)])
 
 
 def restrict_to_chunks(video: ProcessedVideo,
@@ -164,27 +171,12 @@ def segment_streams(video: ProcessedVideo,
     ]
 
 
-def _held_planes(video: ProcessedVideo,
-                 sequence: FrameSequence) -> Iterator[Tuple[np.ndarray, bool]]:
-    """Walk the source positions in order. At each, yield the plane the held
-    reconstruction shows there and whether it is that position's own frame:
-    a kept frame, or the first frame, which is shown even when dropped."""
-    kept = set(video.kept_indices)
-    last_plane = None
-    for pos in range(len(sequence)):
-        own = pos in kept or last_plane is None
-        if own:
-            last_plane = sequence[pos]
-        yield last_plane, own
-
-
 def hold_stream(video: ProcessedVideo, sequence: FrameSequence) -> bytes:
     """Mono Y4M of the held reconstruction: dropped frames repeat the last
     kept one. It plays at the source rate with the source frame count, so it
     compares with the original frame by frame."""
     _check_sequence(sequence, video.frame_count, video.fps)
-    planes = [plane for plane, _ in _held_planes(video, sequence)]
-    return encode_y4m(planes, sequence.fps)
+    return encode_y4m([sequence[i] for i in video.held], sequence.fps)
 
 
 @dataclass(frozen=True)
@@ -208,13 +200,16 @@ def quality_report(video: ProcessedVideo,
                    sequence: FrameSequence) -> QualityReport:
     """Mean per-frame similarity of the held reconstruction.
 
-    Kept frames are bit-identical to the source and score exactly 1.0
-    without being recomputed; only dropped positions are measured.
+    A position that shows its own frame (kept, or the first frame) is
+    bit-identical to the source and scores exactly 1.0 without being
+    recomputed; only the others are measured.
     """
     _check_sequence(sequence, video.frame_count, video.fps)
+    work = ssim_work(sequence[0].shape)
     total = 0.0
-    for pos, (plane, own) in enumerate(_held_planes(video, sequence)):
-        total += 1.0 if own else ssim(plane, sequence[pos])
+    for pos, shown in enumerate(video.held):
+        total += (1.0 if shown == pos
+                  else ssim(sequence[shown], sequence[pos], work))
     return QualityReport(
         frame_count=video.frame_count, kept_count=video.kept_count,
         mean_ssim=total / video.frame_count,

@@ -71,7 +71,8 @@ _BAD_CONFIGS = {"list": '[1]', "theta-str": '{"theta": "x"}',
                 "profile-int": '{"profiles": {"evso": 5}}',
                 "k_window-float": '{"k_window": 2.5}',
                 "alpha-nan": '{"alpha": NaN}',
-                "delta-1e999": '{"delta": 1e999}'}
+                "delta-1e999": '{"delta": 1e999}',
+                "profile-unknown": '{"profiles": {"foo": [0.5, 0.6, 0.7, 0.8, 1]}}'}
 
 
 @pytest.mark.parametrize("text", ["{", *_BAD_CONFIGS.values()],
@@ -84,6 +85,24 @@ def test_config_file_rejects_malformed_json(tmp_path, capsys, text):
     if text != "{":
         with pytest.raises(errors.MalformedDocument):
             cli.load_config(str(cfg))
+
+
+def test_partial_profiles_keep_the_other_defaults(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profiles": {"evso": [0.5, 0.6, 0.7, 0.8, 1]}}))
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "--show-config"]) == 0
+    shown = json.loads(capsys.readouterr().out)["profiles"]
+    assert shown == {"evso": [0.5, 0.6, 0.7, 0.8, 1],
+                     "evso_plus": [0.5, 0.73, 0.83, 0.9, 1],
+                     "evso_plus_plus": [0.43, 0.6, 0.7, 0.8, 0.93]}
+    outdir = tmp_path / "tree"
+    assert cli.main(["--config", str(cfg), "pipeline", str(clip),
+                     str(outdir)]) == 0
+    sched = json.loads((outdir / "schedule.json").read_text())
+    assert sched["chunks"][0]["rates"] == pytest.approx(
+        {"evso": 15.0, "evso_plus": 15.0, "evso_plus_plus": 12.9})
 
 
 def test_readme_configuration_block_matches_show_config(capsys):
@@ -351,6 +370,26 @@ _TREE_SHA256 = {
         "segments/medium/chunk_002.y4m": "50178bdba15dcb8323ae08c3ddcf63055e2627004c24533ba3ef0beeb8247f10",
     },
 }
+
+
+#: SHA-256 of `process --mode hold --profile evso_plus_plus` on the same
+#: clip under _CUT_CONFIG.
+_HOLD_SHA256 = "247e4ea64dbcbd5107d47526a35818cf80bcf14ab0f8a692ee303ec15e2ec33e"
+
+
+def test_process_hold_stream_is_byte_identical_to_recorded_digest(tmp_path,
+                                                                  capsys):
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG))
+    out = tmp_path / "held.y4m"
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "process", str(clip), "--profile",
+                     "evso_plus_plus", "--mode", "hold", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["chunks"] >= 2
+    assert summary["kept_frames"] < 90
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _HOLD_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(_TREE_SHA256))
@@ -647,6 +686,9 @@ def test_simulate_plays_longest_representation_when_first_is_empty(
 
 @pytest.mark.parametrize("files, argv", [
     pytest.param({}, ["split", "clip.y4m", "--gamma", "30/0"], id="gamma"),
+    *[pytest.param({}, [command, "clip.y4m", "--gamma", "1e999"],
+                   id=f"{command}-gamma-1e999")
+      for command in ("schedule", "split")],
     pytest.param({"clip.yuv": ""},
                  ["analyze", "clip.yuv", "--dims", "96x64", "--fps", "30/0"],
                  id="raw-fps"),

@@ -15,6 +15,7 @@ from evso.fscheduler import (
     PairDiff,
     ScheduleConfig,
     SplitConfig,
+    as_fps,
     chunk_sigma,
     default_profiles,
     epf,
@@ -41,6 +42,14 @@ def test_diff_series_normalizes_fps_like_a_frame_sequence():
     for bad in (0, "1/0", True):
         with pytest.raises((TypeError, ValueError)):
             DiffSeries(dims=MID, fps=bad, pairs=(PairDiff(0, 0),))
+
+
+def test_as_fps_rejects_rates_no_float_holds():
+    for bad in (Fraction(10 ** 400), Fraction(1, 10 ** 400), "1e999",
+                "1e-999"):
+        with pytest.raises(ValueError, match="fit a float"):
+            as_fps(bad)
+    assert as_fps(Fraction(10 ** 300)) == 10 ** 300
 
 
 def test_rolling_stats_all_equal_window():

@@ -32,6 +32,7 @@ from evso.similarity import (
     regression_ssim_estimate,
     sad_y_macroblock,
     ssim,
+    ssim_work,
     y_diff,
 )
 from evso.vprocessor import process, quality_report
@@ -99,7 +100,8 @@ def test_dims_mismatch_rejected():
     a = np.zeros((16, 16), dtype=np.uint8)
     b = np.zeros((16, 32), dtype=np.uint8)
     for fn in (lambda: m_diff(a, b), lambda: y_diff(a, b),
-               lambda: ssim(a, b), lambda: sad_y_macroblock(a, b, 0, 0)):
+               lambda: ssim(a, b), lambda: sad_y_macroblock(a, b, 0, 0),
+               lambda: ssim(a, a + 1, ssim_work(b.shape))):
         with pytest.raises(DimsMismatch):
             fn()
 
@@ -184,12 +186,17 @@ def _ssim_reference_pairs():
 
 
 def test_ssim_is_bit_identical_to_float_summed_area_tables():
+    work = None
     for a, b in _ssim_reference_pairs():
-        assert ssim(a, b) == _float_reference_ssim(a, b)
-        assert ssim(b, a) == _float_reference_ssim(b, a)
+        if work is None or work[0].shape != a.shape:
+            work = ssim_work(a.shape)
+        for x, y in ((a, b), (b, a)):
+            expected = _float_reference_ssim(x, y)
+            assert ssim(x, y) == expected
+            assert ssim(x, y, work) == expected
 
 
-def _no_window_sums(values, edge):
+def _no_window_sums(*args):
     raise AssertionError("reached _window_sums")
 
 

@@ -12,9 +12,12 @@ from evso.frame_source import (
     synth_moving_block,
     synth_static,
 )
-from evso.fscheduler import ChunkRange, schedule
+from evso.fscheduler import (ChunkRange, ChunkScheduleEntry, RateSchedule,
+                             schedule)
 from evso.similarity import DiffSeries, diff_series, ssim
 from evso.vprocessor import (
+    ProcessedChunk,
+    ProcessedVideo,
     decimate_uniform,
     hold_stream,
     process,
@@ -149,6 +152,36 @@ def test_segment_streams_round_trip():
         assert np.array_equal(out_frame, seq[src_index])
 
 
+def test_held_shows_first_frame_until_a_kept_one_in_any_chunk_order():
+    video = ProcessedVideo(label="hand", frame_count=10, fps=Fraction(30),
+                           chunks=(ProcessedChunk(ChunkRange(5, 10),
+                                                  Fraction(10), (7,)),
+                                   ProcessedChunk(ChunkRange(0, 5),
+                                                  Fraction(10), (2, 4))))
+    assert video.held == (0, 0, 2, 2, 4, 4, 4, 7, 7, 7)
+    assert ProcessedVideo(label="none", chunks=(), frame_count=3,
+                          fps=Fraction(30)).held == (0, 0, 0)
+
+
+def test_held_of_processed_video_is_last_kept_index_at_or_before():
+    rnd = random.Random(11)
+    for _ in range(40):
+        count = rnd.randint(1, 120)
+        cuts = sorted(rnd.sample(range(1, count), min(count - 1,
+                                                      rnd.randint(0, 4))))
+        bounds = [0, *cuts, count]
+        entries = tuple(
+            ChunkScheduleEntry(range=ChunkRange(a, b), sigma=0.0,
+                               rates={"p": rnd.randint(1, 300) / 10})
+            for a, b in zip(bounds, bounds[1:]))
+        sched = RateSchedule(entries=entries, frame_count=count,
+                             fps=Fraction(30), gamma=Fraction(30))
+        video = process(synth_static(FrameDims(16, 16), count, 0), sched, "p")
+        kept = video.kept_indices
+        assert video.held == tuple(max(i for i in kept if i <= pos)
+                                   for pos in range(count))
+
+
 def test_hold_stream_repeats_last_kept_frame():
     seq = synth_moving_block(FrameDims(64, 64), 10, 16, 16, 255, 0, fps=30)
     video = decimate_uniform(seq, 15)
@@ -200,7 +233,7 @@ def test_quality_report_scores_only_dropped_frames_against_held_plane(
     held = read_y4m(hold_stream(video, seq))
     calls = []
 
-    def fake_ssim(a, b):
+    def fake_ssim(a, b, work):
         calls.append((a, b))
         return 0.5
 

@@ -21,7 +21,7 @@ import time
 import uuid
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import empd, fscheduler, stream_sim
 from .empd import EvsoLevel
@@ -438,8 +438,9 @@ def _write_tree(root: str, sequence: FrameSequence,
         if label not in videos:
             videos[label] = _flat(sequence, label)
     report: Dict[str, dict] = {}
+    memo: Dict[Tuple[int, int], float] = {}  # variants share held frames
     for label, video in videos.items():
-        quality = vprocessor.quality_report(video, sequence)
+        quality = vprocessor.quality_report(video, sequence, memo)
         report[label] = {
             "kept_frames": quality.kept_count,
             "avg_frame_rate": round(video.avg_frame_rate, 6),

@@ -107,6 +107,19 @@ def _readline(stream: BinaryIO, limit: int = 1024) -> bytes:
     return line
 
 
+def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
+    """count bytes, or TruncatedFrame. Reads of at most 16 MiB bound what a
+    header claiming a frame larger than the input can make one allocate."""
+    pieces = []
+    while count:
+        piece = stream.read(min(count, 1 << 24))
+        if not piece:
+            raise TruncatedFrame(f"{what} short by {count} bytes")
+        pieces.append(piece)
+        count -= len(piece)
+    return b"".join(pieces)  # a lone piece is returned as it is
+
+
 def _parse_signature(header: bytes):
     """Frame dims, fps and color space from a YUV4MPEG2 signature line."""
     if not header.startswith(b"YUV4MPEG2"):
@@ -172,18 +185,8 @@ def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
             break
         if not marker.startswith(b"FRAME"):
             raise MalformedHeader(f"expected FRAME marker, got {marker[:16]!r}")
-        payload = stream.read(luma_bytes)
-        if len(payload) < luma_bytes:
-            raise TruncatedFrame(
-                f"frame {len(planes)}: luma short by {luma_bytes - len(payload)} bytes"
-            )
-        if chroma_bytes:
-            chroma = stream.read(chroma_bytes)
-            if len(chroma) < chroma_bytes:
-                raise TruncatedFrame(
-                    f"frame {len(planes)}: chroma short by "
-                    f"{chroma_bytes - len(chroma)} bytes"
-                )
+        payload = _read_exact(stream, luma_bytes, f"frame {len(planes)}: luma")
+        _read_exact(stream, chroma_bytes, f"frame {len(planes)}: chroma")
         planes.append(np.frombuffer(payload, dtype=np.uint8).reshape(height, width))
     return FrameSequence(frames=planes, fps=fps)
 
@@ -194,15 +197,11 @@ def encode_y4m(planes: Sequence[np.ndarray], fps: FpsLike) -> bytes:
         raise ValueError("cannot encode an empty frame list")
     height, width = planes[0].shape
     rate = as_fps(fps)
-    out = bytearray()
-    out += (
-        f"YUV4MPEG2 W{width} H{height} "
-        f"F{rate.numerator}:{rate.denominator} Ip A1:1 Cmono\n"
-    ).encode("ascii")
-    for plane in planes:
-        out += b"FRAME\n"
-        out += plane.tobytes()
-    return bytes(out)
+    header = (f"YUV4MPEG2 W{width} H{height} "
+              f"F{rate.numerator}:{rate.denominator} Ip A1:1 Cmono\n")
+    # One copy: join reads each C-contiguous plane's own buffer.
+    return b"FRAME\n".join([header.encode("ascii"),
+                            *map(np.ascontiguousarray, planes)])
 
 
 # ---------------------------------------------------------------------------

@@ -104,65 +104,63 @@ def y_diff(a: np.ndarray, b: np.ndarray) -> int:
     return _plane_sad(_abs_diff(a, b))
 
 
-def _window_sums(values: np.ndarray, edge: int, table: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """Sums over every edge x edge window fully inside the plane (stride 1),
-    into out; table is int64 work space one larger each way, zero-bordered."""
-    np.cumsum(values, axis=0, out=table[1:, 1:])
-    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-    np.subtract(table[edge:, edge:], table[:-edge, edge:], out=out)
-    out -= table[edge:, :-edge]
-    out += table[:-edge, :-edge]
-    return out
+def _window_sums(stack: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Sums over every 8x8 window inside each plane of a C-contiguous
+    (k, H, W) int32 stack, as a (k, H-7, W-7) view of stack. Adding the flat
+    buffer to itself shifted by 1, 2 and 4 rows, then by 1, 2 and 4 entries,
+    sums 8 rows, then 8 columns; sums that cross a row or plane edge fall
+    outside the view. Each add writes the other buffer over a span shorter
+    by its shift, so it reads only written entries and never its output."""
+    width = stack.shape[2]
+    src, dst = stack.reshape(-1), spare.reshape(-1)
+    size = src.size
+    for shift in (width, 2 * width, 4 * width, 1, 2, 4):
+        size -= shift
+        np.add(src[:size], src[shift:size + shift], out=dst[:size])
+        src, dst = dst, src
+    return stack[:, :1 - _SSIM_EDGE, :1 - _SSIM_EDGE]  # six swaps: stack
 
 
 def ssim_work(shape: Tuple[int, int]) -> tuple:
-    """Work arrays for `ssim` on planes of one shape. A caller scoring many
-    pairs passes one set to every call: had each call freed its dozen
-    plane-sized temporaries, glibc could trim the heap top after every call
-    and the next call would fault the pages back in."""
+    """Work arrays for `ssim` on planes of one shape: two (5, H, W) int32
+    window-sum buffers and (6, H-7, W-7) float64 moments. A caller scoring
+    many pairs passes one set to every call: had each call freed them, glibc
+    could trim the heap top and the next call would fault the pages in."""
     height, width = shape
-    windows = (height - _SSIM_EDGE + 1, width - _SSIM_EDGE + 1)
-    return (*np.empty((3, height, width), np.int64),
-            np.zeros((height + 1, width + 1), np.int64),
-            np.empty(windows, np.int64), *np.empty((6, *windows)))
+    return (*np.empty((2, 5, height, width), np.int32),
+            np.empty((6, height - _SSIM_EDGE + 1, width - _SSIM_EDGE + 1)))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, work: Optional[tuple] = None) -> float:
-    """Mean structural similarity over 8x8 uniform windows, luma only.
+    """Mean structural similarity of two uint8 planes over 8x8 windows.
 
     Windows slide with stride 1 and only fully interior positions count.
     Per-window statistics are population moments (divide by 64) computed in
     float64; the stabilizers use the standard (0.01*255)^2 and (0.03*255)^2.
     Identical planes return exactly 1.0 without computing any window, the
-    value the formula gives for them. Samples are taken as int64 (luma is
-    integer), and window sums are exact in int64; below 2**53 a float64 sum
-    reaches the same values. It works in place in `work`, from `ssim_work`
-    (a fresh set when not given); the result does not depend on it.
+    value the formula gives for them. Window sums of a, b, a*a, b*b and a*b
+    are exact in int32 (at most 64 * 255**2 < 2**31 at any frame size). A
+    plane of another dtype raises DegenerateInput. It works in place in
+    `work` from `ssim_work` (fresh if not given); the result is the same.
     """
     _check_same_dims(a, b)
+    if a.dtype != np.uint8 or b.dtype != np.uint8:
+        raise DegenerateInput(f"ssim takes uint8, not {a.dtype}/{b.dtype}")
     if a.shape[0] < _SSIM_EDGE or a.shape[1] < _SSIM_EDGE:
         raise FrameTooSmall(
             f"plane {a.shape} smaller than an {_SSIM_EDGE}x{_SSIM_EDGE} window"
         )
     if np.array_equal(a, b):
         return 1.0
-    pa, pb, prod, table, sums, mu_a, mu_b, var_a, var_b, cov, ab = (
-        work or ssim_work(a.shape))
-    if pa.shape != a.shape:
-        raise DimsMismatch(f"work arrays for {pa.shape}, planes {a.shape}")
-    np.copyto(pa, a, casting="unsafe")
-    np.copyto(pb, b, casting="unsafe")
-
-    def window_means(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        sums_of = _window_sums(values, _SSIM_EDGE, table, sums)
-        return np.divide(sums_of, float(_SSIM_EDGE * _SSIM_EDGE), out=out)
-
-    window_means(pa, mu_a)
-    window_means(pb, mu_b)
-    window_means(np.multiply(pa, pa, out=prod), var_a)
-    window_means(np.multiply(pb, pb, out=prod), var_b)
-    window_means(np.multiply(pa, pb, out=prod), cov)
+    stack, spare, moments = work or ssim_work(a.shape)
+    if stack.shape[1:] != a.shape:
+        raise DimsMismatch(f"work arrays for {stack.shape[1:]}, planes {a.shape}")
+    stack[0], stack[1] = a, b
+    np.multiply(stack[:2], stack[:2], out=stack[2:4])
+    np.multiply(stack[0], stack[1], out=stack[4])
+    # Scaling by 1/64 is exact: these equal the sums divided by 64.
+    np.multiply(_window_sums(stack, spare), 1.0 / _SSIM_EDGE ** 2, out=moments[:5])
+    mu_a, mu_b, var_a, var_b, cov, ab = moments
     cov -= np.multiply(mu_a, mu_b, out=ab)
     var_a -= np.multiply(mu_a, mu_a, out=mu_a)  # mu_a, mu_b now hold squares
     var_b -= np.multiply(mu_b, mu_b, out=mu_b)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, List, Tuple, Union
+from itertools import accumulate, chain
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import InvalidRate, ScheduleMismatch
 from .frame_source import FrameSequence, encode_y4m
@@ -81,10 +81,7 @@ class ProcessedVideo:
 
     @property
     def kept_indices(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for chunk in self.chunks:
-            out.extend(chunk.kept_indices)
-        return tuple(out)
+        return tuple(chain.from_iterable(c.kept_indices for c in self.chunks))
 
     @property
     def held(self) -> Tuple[int, ...]:
@@ -196,20 +193,25 @@ class QualityReport:
         return self.mean_ssim * 100.0
 
 
-def quality_report(video: ProcessedVideo,
-                   sequence: FrameSequence) -> QualityReport:
+def quality_report(video: ProcessedVideo, sequence: FrameSequence,
+                   memo: Optional[dict] = None) -> QualityReport:
     """Mean per-frame similarity of the held reconstruction.
 
     A position that shows its own frame (kept, or the first frame) is
     bit-identical to the source and scores exactly 1.0 without being
-    recomputed; only the others are measured.
+    recomputed; only the others are measured. memo maps (held index,
+    position) to its score; variants of one sequence sharing it score each
+    pair once.
     """
     _check_sequence(sequence, video.frame_count, video.fps)
+    memo = {} if memo is None else memo
     work = ssim_work(sequence[0].shape)
     total = 0.0
     for pos, shown in enumerate(video.held):
-        total += (1.0 if shown == pos
-                  else ssim(sequence[shown], sequence[pos], work))
+        if (shown, pos) not in memo:
+            memo[shown, pos] = (1.0 if shown == pos else
+                                ssim(sequence[shown], sequence[pos], work))
+        total += memo[shown, pos]
     return QualityReport(
         frame_count=video.frame_count, kept_count=video.kept_count,
         mean_ssim=total / video.frame_count,

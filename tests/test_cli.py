@@ -413,6 +413,43 @@ def test_pipeline_tree_is_byte_identical_to_recorded_digests(tmp_path, capsys,
     assert digests == _TREE_SHA256[name]
 
 
+def test_pipeline_scores_each_held_pair_once_across_variants(
+        tmp_path, monkeypatch, capsys):
+    from evso import vprocessor
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG))
+    scored, calls = [], []
+    real_report, real_ssim = vprocessor.quality_report, vprocessor.ssim
+
+    def report(video, sequence, memo=None):
+        result = real_report(video, sequence, memo)
+        scored.append((video, sequence, result.mean_ssim))
+        return result
+
+    def counted_ssim(a, b, work=None):
+        calls.append((id(a), id(b)))
+        return real_ssim(a, b, work)
+
+    monkeypatch.setattr(vprocessor, "quality_report", report)
+    monkeypatch.setattr(vprocessor, "ssim", counted_ssim)
+    assert cli.main(["--config", str(cfg), "pipeline", str(clip),
+                     str(tmp_path / "tree")]) == 0
+    capsys.readouterr()
+    assert len(scored) == 5
+    sequence = scored[0][1]
+    index = {id(plane): i for i, plane in enumerate(sequence)}
+    pairs = {(shown, pos) for video, _, _ in scored
+             for pos, shown in enumerate(video.held) if shown != pos}
+    dropped = sum(video.frame_count - video.kept_count
+                  for video, _, _ in scored)
+    assert len(pairs) < dropped
+    assert sorted((index[a], index[b]) for a, b in calls) == sorted(pairs)
+    monkeypatch.setattr(vprocessor, "ssim", real_ssim)
+    for video, seq, mean_ssim in scored:
+        assert real_report(video, seq).mean_ssim == mean_ssim
+
+
 def test_manifest_rebuild_matches_pipeline_output(tmp_path, capsys):
     clip = _synth_clip(tmp_path)
     outdir = tmp_path / "tree"
@@ -682,6 +719,14 @@ def test_simulate_plays_longest_representation_when_first_is_empty(
     assert cli.main(["simulate", str(mpd), "--trace", str(trace)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0", "1"]
+
+
+def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
+                                                             capsys):
+    path = tmp_path / "huge.y4m"
+    path.write_bytes(b"YUV4MPEG2 W1000000 H1000000 F30:1 Cmono\nFRAME\nabc")
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: frame 0: luma short by")
 
 
 @pytest.mark.parametrize("files, argv", [

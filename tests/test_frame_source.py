@@ -230,6 +230,39 @@ def test_y4m_truncated_payload_rejected():
         read_y4m(data[:-10])
 
 
+def test_y4m_frame_larger_than_the_input_is_truncated_not_allocated(tmp_path):
+    path = tmp_path / "huge.y4m"
+    path.write_bytes(b"YUV4MPEG2 W1000000 H1000000 F30:1 Cmono\nFRAME\nabc")
+    with open(path, "rb") as fh:
+        with pytest.raises(TruncatedFrame, match="luma short by 999999999997"):
+            read_y4m(fh)
+
+
+def test_y4m_frames_larger_than_one_read_piece_round_trip(tmp_path):
+    # 18.9 MB: more than one 16 MiB read; period 251 shifts every row.
+    plane = np.resize(np.arange(251, dtype=np.uint8), 4352 * 4352)
+    path = tmp_path / "big.y4m"
+    path.write_bytes(encode_y4m([plane.reshape(4352, 4352)], 30))
+    with open(path, "rb") as fh:
+        back = read_y4m(fh)
+    assert back[0].tobytes() == plane.tobytes()
+
+
+def test_encode_y4m_of_strided_views_equals_their_copies():
+    rng = np.random.Generator(np.random.PCG64(3))
+    base = rng.integers(0, 256, size=(64, 96), dtype=np.uint8)
+    views = [base[::2, ::3], base[::-1, 1::2][:32], base.T[:, :32],
+             np.asfortranarray(base)]
+    for view in views:
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        data = encode_y4m([view, view], 30)
+        assert data == encode_y4m([copy, copy], 30)
+        header = f"YUV4MPEG2 W{copy.shape[1]} H{copy.shape[0]} F30:1"
+        assert data == (header.encode() + b" Ip A1:1 Cmono\n"
+                        + (b"FRAME\n" + copy.tobytes()) * 2)
+
+
 def test_y4m_unsupported_color_space_rejected():
     with pytest.raises(UnsupportedColorSpace):
         read_y4m(b"YUV4MPEG2 W16 H16 F30:1 C444\nFRAME\n" + bytes(16 * 16 * 3))

@@ -196,6 +196,47 @@ def test_ssim_is_bit_identical_to_float_summed_area_tables():
             assert ssim(x, y, work) == expected
 
 
+def _extreme_pairs():
+    """Saturated planes, the smallest window counts and strided views."""
+    black, white = np.zeros((32, 48), np.uint8), np.full((32, 48), 255, np.uint8)
+    yield black, white
+    yield white, np.full((32, 48), 254, np.uint8)
+    rng = np.random.Generator(np.random.PCG64(12))
+    for shape in ((8, 8), (8, 41), (37, 8)):
+        a = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        yield a, rng.integers(0, 256, size=shape, dtype=np.uint8)
+        yield a, np.where(a > 127, 255, 0).astype(np.uint8)
+    wide = rng.integers(0, 256, size=(40, 66), dtype=np.uint8)
+    yield wide[::2, ::3], wide[1::2, 1::3]
+    yield wide[::-1, 5:], wide[:, ::-1][:, 5:]
+
+
+def test_ssim_int32_windows_match_float_reference_on_extremes():
+    for a, b in _extreme_pairs():
+        work = ssim_work(a.shape)
+        for x, y in ((a, b), (b, a)):
+            expected = _float_reference_ssim(x, y)
+            assert ssim(x, y) == expected
+            assert ssim(x, y, work) == expected
+
+
+def test_ssim_work_bytes_per_pixel_stay_within_one_percent():
+    # The int64 summed-area-table kernel's work set at these shapes.
+    for shape, before in (((128, 192), 2_042_560), ((1080, 1920), 181_327_552)):
+        after = sum(a.nbytes for a in ssim_work(shape))
+        assert abs(after - before) <= 0.01 * before
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.float64,
+                                   np.bool_])
+def test_ssim_takes_uint8_planes_only(dtype):
+    a = np.full((16, 16), 1, dtype=dtype)
+    b = np.full((16, 16), 0, dtype=np.uint8)
+    for x, y in ((a, b), (b, a), (a, a)):
+        with pytest.raises(DegenerateInput, match="uint8"):
+            ssim(x, y)
+
+
 def _no_window_sums(*args):
     raise AssertionError("reached _window_sums")
 

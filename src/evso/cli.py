@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import empd, fscheduler, stream_sim
 from .empd import EvsoLevel
-from .errors import EvsoError, MalformedDocument
+from .errors import ChunkTooSmall, EvsoError, MalformedDocument
 from .fscheduler import (PROFILE_FACTORS, DiffSeries, FrameDims, PairDiff,
                          ScheduleConfig, SimilarityConfig, SplitConfig, as_fps)
 
@@ -250,8 +250,6 @@ def _schedule_to_doc(sched: fscheduler.RateSchedule) -> dict:
 def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
     try:
         frame_count = _json_ints(doc["frame_count"])[0]
-        if frame_count < 1:
-            raise ValueError(f"frame_count {frame_count} is not positive")
         entries = tuple(
             fscheduler.ChunkScheduleEntry(
                 range=fscheduler.ChunkRange(*_json_ints(c["start"], c["end"])),
@@ -263,7 +261,7 @@ def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
             entries=entries, frame_count=frame_count,
             fps=as_fps(doc["fps"]), gamma=as_fps(doc["gamma"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ChunkTooSmall, KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not a schedule document: {exc!r}") from None
 
 
@@ -332,6 +330,24 @@ def _processed_for_profile(sequence: FrameSequence, args,
                               args.profile)
 
 
+def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
+                    sequence: FrameSequence) -> List[str]:
+    """Write a variant's chunks into directory as chunk_NNN.y4m and remove
+    any other chunk_NNN.y4m there: left by an earlier, longer run, it would
+    pass for this run's. Returns the paths written, in chunk order."""
+    from . import vprocessor
+    written = []
+    for i, blob in enumerate(vprocessor.segment_streams(video, sequence)):
+        path = os.path.join(directory, f"chunk_{i:03d}.y4m")
+        _write_bytes(path, blob)
+        written.append(path)
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        if re.fullmatch(r"chunk_\d{3,}\.y4m", name) and path not in written:
+            os.unlink(path)
+    return written
+
+
 def cmd_process(args, config: PipelineConfig) -> int:
     from . import vprocessor
     sequence = _load_video(args)
@@ -340,17 +356,7 @@ def cmd_process(args, config: PipelineConfig) -> int:
         _write_bytes(args.out, vprocessor.hold_stream(video, sequence))
         written = [args.out]
     else:
-        blobs = vprocessor.segment_streams(video, sequence)
-        written = []
-        for i, blob in enumerate(blobs):
-            path = os.path.join(args.out, f"chunk_{i:03d}.y4m")
-            _write_bytes(path, blob)
-            written.append(path)
-        # Chunks left by an earlier, longer run would pass for this run's.
-        for name in os.listdir(args.out):
-            path = os.path.join(args.out, name)
-            if re.fullmatch(r"chunk_\d{3,}\.y4m", name) and path not in written:
-                os.unlink(path)
+        written = _write_segments(args.out, video, sequence)
     summary = {
         "profile": args.profile,
         "frame_count": video.frame_count,
@@ -404,56 +410,45 @@ def _write_tree(root: str, sequence: FrameSequence,
                 config: PipelineConfig, args) -> dict:
     """Segments per level, manifest, schedule and quality report under root.
 
-    root is a fresh private directory, so files are written in place.
     Returns the chunk count and each level's bandwidth.
     """
     from . import similarity, vprocessor
-
-    def put(rel: str, data: bytes) -> None:
-        path = os.path.join(root, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(data)
-
     series = similarity.diff_series(sequence, config.similarity)
     sched = _schedule(series, args, config)
     ranges = tuple(entry.range for entry in sched)
 
-    videos: Dict[str, vprocessor.ProcessedVideo] = {}
-    for level, profile in empd.PROFILE_FOR_LEVEL.items():
-        if profile is None:
-            video = vprocessor.restrict_to_chunks(_flat(sequence, level.value),
-                                                  ranges)
-        else:
-            video = vprocessor.process(sequence, sched, profile)
-        for i, blob in enumerate(vprocessor.segment_streams(video, sequence)):
-            put(f"segments/{level.value}/chunk_{i:03d}.y4m", blob)
-        videos[level.value] = video
-
-    manifest = _tree_manifest(root, sched)
-    put("manifest.mpd", empd.serialize_xml(manifest))
-    put("schedule.json", _dump_json(_schedule_to_doc(sched)).encode())
-
-    for label in _FLAT_SHARES:
-        if label not in videos:
-            videos[label] = _flat(sequence, label)
+    # Levels in order, then the flat shares no level plays.
+    profiles = {level.value: empd.PROFILE_FOR_LEVEL[level]
+                for level in EvsoLevel}
     report: Dict[str, dict] = {}
     memo: Dict[Tuple[int, int], float] = {}  # variants share held frames
-    for label, video in videos.items():
+    for label in dict.fromkeys([*profiles, *_FLAT_SHARES]):
+        if label in _FLAT_SHARES:
+            video = vprocessor.restrict_to_chunks(_flat(sequence, label), ranges)
+        else:
+            video = vprocessor.process(sequence, sched, profiles[label])
+        if label in profiles:
+            _write_segments(os.path.join(root, "segments", label), video,
+                            sequence)
         quality = vprocessor.quality_report(video, sequence, memo)
         report[label] = {
             "kept_frames": quality.kept_count,
             "avg_frame_rate": round(video.avg_frame_rate, 6),
             "mean_ssim_pct": round(quality.mean_ssim_pct, 6),
         }
-    quality_doc = {
+
+    manifest = _tree_manifest(root, sched)
+    _write_bytes(os.path.join(root, "manifest.mpd"),
+                 empd.serialize_xml(manifest))
+    _write_bytes(os.path.join(root, "schedule.json"),
+                 _dump_json(_schedule_to_doc(sched)).encode())
+    _write_bytes(os.path.join(root, "quality_report.json"), _dump_json({
         "frame_count": len(sequence),
         "fps": str(sequence.fps),
         "duration_seconds": float(sequence.duration_seconds),
         "chunks": len(ranges),
         "levels": report,
-    }
-    put("quality_report.json", _dump_json(quality_doc).encode())
+    }).encode())
     return {
         "chunks": len(ranges),
         "levels": {aset.evso_level.value: aset.representations[0].bandwidth

@@ -9,6 +9,7 @@ whole pipeline without float drift.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Iterator, Sequence, Union
@@ -213,7 +214,7 @@ def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSeque
 
     layout "I420" expects W*H luma plus two ceil(W/2) x ceil(H/2) chroma
     planes per frame; "YONLY" expects bare luma planes. Only the luma portion
-    is kept.
+    is read and kept.
     """
     layout = layout.upper()
     if layout == "I420":
@@ -224,18 +225,18 @@ def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSeque
         raise ValueError(f"layout must be I420 or YONLY, got {layout!r}")
 
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) % frame_bytes != 0:
-        raise SizeMismatch(
-            f"{len(data)} bytes is not a multiple of the {frame_bytes}-byte "
-            f"frame size for {layout} {dims}"
-        )
-    planes = [
-        np.frombuffer(
-            data, dtype=np.uint8, count=dims.pixels, offset=i * frame_bytes
-        ).reshape(dims.height, dims.width)
-        for i in range(len(data) // frame_bytes)
-    ]
+        size = os.fstat(fh.fileno()).st_size
+        if size % frame_bytes != 0:
+            raise SizeMismatch(
+                f"{size} bytes is not a multiple of the {frame_bytes}-byte "
+                f"frame size for {layout} {dims}"
+            )
+        planes = []
+        for i in range(size // frame_bytes):
+            luma = _read_exact(fh, dims.pixels, f"frame {i}: luma")
+            fh.seek(frame_bytes - dims.pixels, os.SEEK_CUR)
+            planes.append(np.frombuffer(luma, dtype=np.uint8)
+                          .reshape(dims.height, dims.width))
     return FrameSequence(frames=planes, fps=fps)
 
 

@@ -391,6 +391,9 @@ class RateSchedule:
     fps: Fraction
     gamma: Fraction
 
+    def __post_init__(self) -> None:
+        self.plan  # a plan refuses ranges that do not tile the clip
+
     @property
     def plan(self) -> ChunkPlan:
         return ChunkPlan(

@@ -392,6 +392,37 @@ def test_process_hold_stream_is_byte_identical_to_recorded_digest(tmp_path,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _HOLD_SHA256
 
 
+#: SHA-256 of every chunk file of `process --mode segments` on the same clip:
+#: baseline under the default config, evso_plus_plus under _CUT_CONFIG.
+_SEGMENTS_SHA256 = {
+    ("baseline", False): {
+        "chunk_000.y4m": "d553549396fa6b5af56af0d6b100c2a4dc18e4a6f61739a9172a69fd85e88415",
+    },
+    ("evso_plus_plus", True): {
+        "chunk_000.y4m": "5b8eed8fd2fcd026254fb278e4be52b378b54f74b415a964e4abeed279b70cd7",
+        "chunk_001.y4m": "f703b8743b192a26aecdf25daf9e2cb7f6e0fb38bd49a80f1a1ce345191cbf14",
+        "chunk_002.y4m": "b36802f3857c8c6b3b65a960a5e0917b5e50ce3fd535c4d20cceb8bc81d94bcb",
+    },
+}
+
+
+@pytest.mark.parametrize("profile, cut", sorted(_SEGMENTS_SHA256))
+def test_process_segments_are_byte_identical_to_recorded_digests(
+        tmp_path, capsys, profile, cut):
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG if cut else {}))
+    outdir = tmp_path / "segs"
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "process", str(clip), "--profile",
+                     profile, "--out", str(outdir)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["outputs"] == [str(outdir / name)
+                                  for name in sorted(_SEGMENTS_SHA256[profile, cut])]
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in outdir.iterdir()} == _SEGMENTS_SHA256[profile, cut]
+
+
 @pytest.mark.parametrize("name", sorted(_TREE_SHA256))
 def test_pipeline_tree_is_byte_identical_to_recorded_digests(tmp_path, capsys,
                                                              name):
@@ -529,6 +560,25 @@ def test_manifest_rejects_schedule_with_non_integer_counts(tmp_path, capsys,
     assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
     doc = json.loads((outdir / "schedule.json").read_text())
     (doc if field in doc else doc["chunks"][0])[field] = value
+    (outdir / "schedule.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["manifest", str(outdir), "--out", str(tmp_path / "m.mpd")]) == 1
+    assert "error: not a schedule document" in capsys.readouterr().err
+    assert not (tmp_path / "m.mpd").exists()
+
+
+@pytest.mark.parametrize("bounds", [[(0, 40), (43, 90)],
+                                    [(0, 50), (40, 90)],
+                                    [(0, 45), (45, 45), (45, 90)],
+                                    [(0, 45), (45, 80)]])
+def test_manifest_rejects_schedule_whose_chunks_do_not_tile_the_clip(
+        tmp_path, capsys, bounds):
+    clip = _synth_clip(tmp_path, count=90)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
+    doc = json.loads((outdir / "schedule.json").read_text())
+    doc["chunks"] = [{**doc["chunks"][0], "start": start, "end": end}
+                     for start, end in bounds]
     (outdir / "schedule.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["manifest", str(outdir), "--out", str(tmp_path / "m.mpd")]) == 1

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +299,22 @@ def test_raw_yuv_i420_odd_size_rounds_chroma_up(tmp_path):
     back = read_raw_yuv(path, dims, 24, "I420")
     assert len(back) == 3
     assert np.array_equal(back[2], luma)
+
+
+def test_raw_yuv_i420_holds_only_luma_in_memory(tmp_path):
+    dims, count = FrameDims(320, 240), 40
+    frame = np.arange(dims.pixels * 3 // 2, dtype=np.uint32).astype(np.uint8)
+    path = tmp_path / "clip.yuv"
+    path.write_bytes(frame.tobytes() * count)
+    tracemalloc.start()
+    try:
+        back = read_raw_yuv(path, dims, 30, "I420")
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == count
+    assert np.array_equal(back[count - 1].ravel(), frame[:dims.pixels])
+    assert current <= 1.05 * dims.pixels * count
 
 
 def test_raw_yuv_size_mismatch(tmp_path):

@@ -188,7 +188,7 @@ def _ssim_reference_pairs():
 def test_ssim_is_bit_identical_to_float_summed_area_tables():
     work = None
     for a, b in _ssim_reference_pairs():
-        if work is None or work[0].shape != a.shape:
+        if work is None or work[0].shape[1:] != a.shape:
             work = ssim_work(a.shape)
         for x, y in ((a, b), (b, a)):
             expected = _float_reference_ssim(x, y)

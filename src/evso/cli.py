@@ -66,6 +66,8 @@ class PipelineConfig:
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         if not isinstance(doc, dict):
             raise MalformedDocument("a config document must be a JSON object")
+        if _holds_bool(doc):
+            raise MalformedDocument("config values must not be true or false")
         merged = cls().to_dict()
         unknown = sorted(set(doc) - set(merged))
         if unknown:
@@ -82,6 +84,16 @@ class PipelineConfig:
                                       ScheduleConfig)))
         except (AttributeError, TypeError) as exc:
             raise MalformedDocument(f"wrongly typed config value: {exc}") from None
+
+
+def _holds_bool(value) -> bool:
+    """Whether value is, or holds at any depth, true or false. Python counts
+    them as the numbers 1 and 0, so each config check would let one pass."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
 
 
 def format_config(doc: dict) -> str:
@@ -259,7 +271,7 @@ def _schedule_from_doc(doc: dict) -> fscheduler.RateSchedule:
         )
         return fscheduler.RateSchedule(
             entries=entries, frame_count=frame_count,
-            fps=as_fps(doc["fps"]), gamma=as_fps(doc["gamma"]),
+            fps=doc["fps"], gamma=doc["gamma"],
         )
     except (ChunkTooSmall, KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not a schedule document: {exc!r}") from None
@@ -284,7 +296,7 @@ def cmd_analyze(args, config: PipelineConfig) -> int:
 
 def cmd_split(args, config: PipelineConfig) -> int:
     series = _obtain_series(args, config)
-    gamma = as_fps(args.gamma) if args.gamma else series.fps
+    gamma = as_fps(args.gamma or series.fps)
     plan = fscheduler.split(series, gamma=gamma, config=config.split)
     doc = {
         "frame_count": plan.frame_count,
@@ -299,8 +311,8 @@ def cmd_split(args, config: PipelineConfig) -> int:
 def _schedule(series: DiffSeries, args,
               config: PipelineConfig) -> fscheduler.RateSchedule:
     """Split and rate a series at --gamma, or at the source rate without it."""
-    gamma = as_fps(args.gamma) if args.gamma else series.fps
-    return fscheduler.schedule(series, gamma=gamma, split_config=config.split,
+    return fscheduler.schedule(series, gamma=args.gamma or None,
+                               split_config=config.split,
                                schedule_config=config.schedule)
 
 
@@ -330,21 +342,27 @@ def _processed_for_profile(sequence: FrameSequence, args,
                               args.profile)
 
 
+def _chunk_files(directory: str) -> List[str]:
+    """Names in directory of the form chunk_{i:03d}.y4m, by chunk number i:
+    the only files that the writer sweeps and that a manifest lists."""
+    found = filter(None, (re.fullmatch(r"chunk_(\d{3,})\.y4m", name)
+                          for name in os.listdir(directory)))
+    return [m[0] for m in sorted(found, key=lambda m: (int(m[1]), m[0]))]
+
+
 def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
                     sequence: FrameSequence) -> List[str]:
-    """Write a variant's chunks into directory as chunk_NNN.y4m and remove
-    any other chunk_NNN.y4m there: left by an earlier, longer run, it would
-    pass for this run's. Returns the paths written, in chunk order."""
+    """Write a variant's chunks into directory and remove any other chunk
+    file there: left by an earlier, longer run, it would pass for this
+    run's. Returns the paths written, in chunk order."""
     from . import vprocessor
     written = []
     for i, blob in enumerate(vprocessor.segment_streams(video, sequence)):
-        path = os.path.join(directory, f"chunk_{i:03d}.y4m")
-        _write_bytes(path, blob)
-        written.append(path)
-    for name in os.listdir(directory):
-        path = os.path.join(directory, name)
-        if re.fullmatch(r"chunk_\d{3,}\.y4m", name) and path not in written:
-            os.unlink(path)
+        written.append(os.path.join(directory, f"chunk_{i:03d}.y4m"))
+        _write_bytes(written[-1], blob)
+    for name in _chunk_files(directory):
+        if os.path.join(directory, name) not in written:
+            os.unlink(os.path.join(directory, name))
     return written
 
 
@@ -373,7 +391,7 @@ def _tree_manifest(root: str,
                    sched: fscheduler.RateSchedule) -> empd.EmpdManifest:
     """Manifest over the segment files under root/segments/<level>/.
 
-    Every level directory holding .y4m files becomes one video set. Its
+    Every level directory holding chunk files becomes one video set. Its
     bandwidth comes from the files' total size over the clip duration, and
     the frame size from the first segment's header.
     """
@@ -385,9 +403,7 @@ def _tree_manifest(root: str,
         level_dir = os.path.join(root, "segments", level.value)
         if not os.path.isdir(level_dir):
             continue
-        # Shorter names first keeps chunk_NNN in numeric order past 999.
-        names = sorted((n for n in os.listdir(level_dir) if n.endswith(".y4m")),
-                       key=lambda n: (len(n), n))
+        names = _chunk_files(level_dir)
         if not names:
             continue
         urls[level] = [f"segments/{level.value}/{n}" for n in names]
@@ -580,17 +596,10 @@ def cmd_serve(args, config: PipelineConfig) -> int:
 
 def cmd_synth(args, config: PipelineConfig) -> int:
     from . import frame_source
-    fps = as_fps(args.fps)
-    if args.kind == "static":
-        sequence = frame_source.synth_static(args.dims, args.count, args.luma,
-                                             fps)
-    elif args.kind == "moving-block":
-        sequence = frame_source.synth_moving_block(
-            args.dims, args.count, args.block_edge, args.velocity,
-            args.fg_luma, args.bg_luma, fps)
-    else:
-        sequence = frame_source.synth_noise(args.dims, args.count, args.seed,
-                                            args.amplitude, fps)
+    # synth's options carry the names of a corpus entry's keys.
+    [sequence] = frame_source.build_corpus([{
+        **vars(args), "kind": args.kind.replace("-", "_"),
+        "width": args.dims.width, "height": args.dims.height}])
     data = frame_source.encode_y4m(list(sequence), sequence.fps)
     _write_bytes(args.out, data)
     print(args.out)

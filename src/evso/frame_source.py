@@ -352,12 +352,14 @@ def build_corpus(entries: Sequence[dict]) -> list:
         raise MalformedDocument("a corpus must be a list of clip descriptions")
     sequences = []
     try:
-        for entry in entries:
+        # Every rate is checked before any plane is allocated.
+        rates = [as_fps(entry.get("fps", 30)) for entry in entries]
+        for entry, fps in zip(entries, rates):
             kind = entry.get("kind")
             if kind not in builders:
                 raise ValueError(f"unknown corpus entry kind {kind!r}")
             dims = FrameDims(entry["width"], entry["height"])
-            sequences.append(builders[kind](entry, dims, entry.get("fps", 30)))
+            sequences.append(builders[kind](entry, dims, fps))
     except (AttributeError, KeyError, TypeError) as exc:
         raise MalformedDocument(f"not a corpus document: {exc!r}") from None
     return sequences

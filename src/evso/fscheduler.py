@@ -216,6 +216,7 @@ class ChunkPlan:
     fps: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fps", as_fps(self.fps))
         chunks = tuple(ChunkRange(*c) for c in self.chunks)
         object.__setattr__(self, "chunks", chunks)
         if not chunks:
@@ -271,7 +272,7 @@ def est(series: DiffSeries, n: int, chunk_start: int, gamma: Fraction,
     return n - chunk_start > gamma
 
 
-def split(series: DiffSeries, gamma: Optional[Fraction] = None,
+def split(series: DiffSeries, gamma: Optional[FpsLike] = None,
           config: Optional[SplitConfig] = None) -> ChunkPlan:
     """Partition a sequence into chunks at detected motion transitions.
 
@@ -280,9 +281,7 @@ def split(series: DiffSeries, gamma: Optional[Fraction] = None,
     gamma defaults to the nominal frame rate (chunks of at least a second).
     """
     cfg = config or SplitConfig()
-    gamma = series.fps if gamma is None else Fraction(gamma)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    gamma = series.fps if gamma is None else as_fps(gamma)
     starts = [0]
     for n in range(cfg.k_window, series.frame_count):
         if est(series, n, starts[-1], gamma, cfg):
@@ -392,6 +391,8 @@ class RateSchedule:
     gamma: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fps", as_fps(self.fps))
+        object.__setattr__(self, "gamma", as_fps(self.gamma))
         self.plan  # a plan refuses ranges that do not tile the clip
 
     @property
@@ -408,7 +409,7 @@ class RateSchedule:
         return iter(self.entries)
 
 
-def schedule(series: DiffSeries, gamma: Optional[Fraction] = None,
+def schedule(series: DiffSeries, gamma: Optional[FpsLike] = None,
              split_config: Optional[SplitConfig] = None,
              schedule_config: Optional[ScheduleConfig] = None) -> RateSchedule:
     """Split a diff series and rate every chunk under every profile.
@@ -418,7 +419,7 @@ def schedule(series: DiffSeries, gamma: Optional[Fraction] = None,
     sigma is 0.0.
     """
     cfg = schedule_config or ScheduleConfig()
-    gamma = series.fps if gamma is None else Fraction(gamma)
+    gamma = series.fps if gamma is None else as_fps(gamma)
     plan = split(series, gamma=gamma, config=split_config)
     entries = []
     for chunk in plan:

@@ -72,7 +72,12 @@ _BAD_CONFIGS = {"list": '[1]', "theta-str": '{"theta": "x"}',
                 "k_window-float": '{"k_window": 2.5}',
                 "alpha-nan": '{"alpha": NaN}',
                 "delta-1e999": '{"delta": 1e999}',
-                "profile-unknown": '{"profiles": {"foo": [0.5, 0.6, 0.7, 0.8, 1]}}'}
+                "profile-unknown": '{"profiles": {"foo": [0.5, 0.6, 0.7, 0.8, 1]}}',
+                "theta-true": '{"theta": true}',
+                "beta-false": '{"alpha": true, "beta": false}',
+                "taus-true": '{"taus": [true, 2, 3, 4]}',
+                "delta-true": '{"delta": true}',
+                "profile-true": '{"profiles": {"evso": [true, true, true, true, true]}}'}
 
 
 @pytest.mark.parametrize("text", ["{", *_BAD_CONFIGS.values()],
@@ -212,6 +217,62 @@ def test_traced_benchmark_targets_resolve_on_package():
               "['TARGETS']:\n"
               "    assert callable(getattr(getattr(evso, module), attr)), "
               "(module, attr)")
+
+
+#: SHA-256 of `synth` output per kind, with non-default options and a
+#: fractional rate.
+_SYNTH_SHA256 = {
+    ("static", "--dims", "48x32", "--count", "3", "--luma", "77",
+     "--fps", "30000/1001"):
+        "78df2622b73c89d5364d42c9641646cde0d323e98558138fa3b0ba746e661790",
+    ("moving-block", "--dims", "64x48", "--count", "7", "--block-edge", "20",
+     "--velocity", "-9", "--fg-luma", "200", "--bg-luma", "31", "--fps", "12.5"):
+        "2b224595ebc011340255282e2f3f001939b0332c6d1070823f66dbc75066c7f3",
+    ("noise", "--dims", "32x16", "--count", "4", "--seed", "9", "--amplitude",
+     "100", "--fps", "2997/100"):
+        "85d3c89c58b04e449119a491e496dfd1ec53e95e63cd6cabc9381eac5b6e5e6e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_SYNTH_SHA256), ids=lambda a: a[0])
+def test_synth_is_byte_identical_to_recorded_digests(tmp_path, capsys, argv):
+    out = tmp_path / "clip.y4m"
+    assert cli.main(["synth", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SYNTH_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["static", "--count", "0"], "count must be >= 1"),
+    (["noise", "--count", "3", "--fps", "abc"],
+     "Invalid literal for Fraction: 'abc'"),
+    (["noise", "--count", "3", "--fps", "1/0"],
+     "frame rate '1/0' has a zero denominator"),
+    (["moving-block", "--count", "3", "--block-edge", "40"],
+     "block edge 40 exceeds frame 32x32"),
+    (["static", "--count", "3", "--luma", "300"],
+     "luma_value 300 outside [0, 255]"),
+    (["noise", "--count", "3", "--amplitude", "300"],
+     "amplitude 300 outside [0, 255]"),
+], ids=["count-0", "fps-abc", "fps-zero-den", "block-edge", "luma", "amplitude"])
+def test_synth_bad_option_prints_its_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "bad.y4m"
+    assert cli.main(["synth", *argv, "--dims", "32x32", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_checks_fps_before_building_planes(tmp_path, monkeypatch,
+                                                 capsys):
+    from evso import frame_source
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("planes built before the rate was checked")
+
+    monkeypatch.setattr(frame_source, "synth_noise", refuse)
+    assert cli.main(["synth", "noise", "--dims", "1920x1080", "--count",
+                     "100000", "--fps", "abc",
+                     "--out", str(tmp_path / "big.y4m")]) == 1
+    assert "Invalid literal for Fraction" in capsys.readouterr().err
 
 
 def test_no_command_prints_help(capsys):
@@ -494,6 +555,20 @@ def test_manifest_rebuild_matches_pipeline_output(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [v["level"] for v in doc["video_sets"]] == [
         "baseline", "high", "medium", "low"]
+
+
+def test_manifest_lists_only_chunk_files(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
+    original = (outdir / "manifest.mpd").read_bytes()
+    level_dir = outdir / "segments" / "high"
+    for name in ("chunk_one.y4m", "notes.y4m"):
+        (level_dir / name).write_bytes((level_dir / "chunk_000.y4m").read_bytes())
+    (outdir / "manifest.mpd").unlink()
+    capsys.readouterr()
+    assert cli.main(["manifest", str(outdir)]) == 0
+    assert (outdir / "manifest.mpd").read_bytes() == original
 
 
 def test_correlate_custom_corpus(tmp_path, capsys):

@@ -387,6 +387,18 @@ def test_build_corpus_builds_each_kind():
         build_corpus([{"kind": "mystery"}])
 
 
+def test_build_corpus_checks_every_rate_before_building_planes(monkeypatch):
+    from evso import frame_source
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("planes built before every rate was checked")
+
+    monkeypatch.setattr(frame_source, "synth_noise", refuse)
+    entry = {"kind": "noise", "width": 16, "height": 16, "count": 2, "seed": 1}
+    with pytest.raises(ValueError, match="Invalid literal"):
+        build_corpus([entry, {**entry, "fps": "abc"}])
+
+
 @pytest.mark.parametrize("doc", [{}, {"kind": "static"}, [5],
                                  [{"kind": "static"}],
                                  [{"kind": "noise", "width": 16, "height": 16,

@@ -52,6 +52,22 @@ def test_as_fps_rejects_rates_no_float_holds():
     assert as_fps(Fraction(10 ** 300)) == 10 ** 300
 
 
+def test_split_and_schedule_take_gamma_as_any_rate_as_fps_accepts():
+    series = _series([0] * 40)
+    for run in (split, schedule):
+        with pytest.raises(TypeError):
+            run(series, gamma=True)
+        with pytest.raises(ValueError):
+            run(series, gamma="1e999")
+        with pytest.raises(ValueError):
+            run(series, gamma=0)
+    assert schedule(series, gamma=29.97).gamma == Fraction(2997, 100)
+    assert schedule(series, gamma="25").gamma == Fraction(25)
+    assert split(series, gamma="30000/1001").chunks == (ChunkRange(0, 41),)
+    plan = ChunkPlan(chunks=(ChunkRange(0, 10),), frame_count=10, fps="30")
+    assert plan.fps == Fraction(30) and type(plan.fps) is Fraction
+
+
 def test_rolling_stats_all_equal_window():
     mean, sigma = rolling_stats([100] * 20, 10)
     assert mean == pytest.approx(90.0, abs=1e-12)

@@ -182,6 +182,21 @@ def test_held_of_processed_video_is_last_kept_index_at_or_before():
                                    for pos in range(count))
 
 
+def test_rate_schedule_takes_fps_and_gamma_as_any_rate_as_fps_accepts():
+    entry = ChunkScheduleEntry(range=ChunkRange(0, 40), sigma=0.0,
+                               rates={"p": 15.0})
+    sched = RateSchedule(entries=(entry,), frame_count=40, fps="30",
+                         gamma="30")
+    assert sched.fps == sched.gamma == Fraction(30)
+    assert type(sched.fps) is type(sched.gamma) is Fraction
+    video = process(synth_static(FrameDims(16, 16), 40, 0), sched, "p")
+    assert video.kept_indices == tuple(range(0, 40, 2))
+    for bad in ({"fps": True}, {"gamma": "1e999"}, {"gamma": "1/0"}):
+        with pytest.raises((TypeError, ValueError)):
+            RateSchedule(**{"entries": (entry,), "frame_count": 40,
+                            "fps": 30, "gamma": 30, **bad})
+
+
 def test_hold_stream_repeats_last_kept_frame():
     seq = synth_moving_block(FrameDims(64, 64), 10, 16, 16, 255, 0, fps=30)
     video = decimate_uniform(seq, 15)

@@ -9,6 +9,7 @@ outputs are written atomically: staged next to the target, then renamed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import time
 import uuid
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import empd, fscheduler, stream_sim
 from .empd import EvsoLevel
@@ -31,7 +32,7 @@ from .fscheduler import (PROFILE_FACTORS, DiffSeries, FrameDims, PairDiff,
 
 if TYPE_CHECKING:
     from . import vprocessor
-    from .frame_source import FrameSequence
+    from .frame_source import FrameSequence, FrameStream
 
 # The modules above are numpy-free; frame_source, similarity and vprocessor
 # are imported only by the functions that read or write planes. No command
@@ -131,21 +132,23 @@ def load_config(path: Optional[str]) -> PipelineConfig:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_bytes(path: str, data: bytes, staged: bool = False) -> None:
     """Write through a uniquely named sibling, so concurrent writers never
-    share a temp file and readers never see a partial target."""
+    share a temp file and readers never see a partial target. A staged path,
+    in a directory that no reader sees yet, is written in place."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     # Exclusive create under the umask, like the target itself would get;
     # tempfile.mkstemp would leave every output readable by its owner only.
-    tmp = os.path.join(parent,
-                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    tmp = path if staged else os.path.join(
+        parent, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
             fh.write(data)
-        os.replace(tmp, path)
+        if tmp != path:
+            os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -167,17 +170,26 @@ def _parse_dims(text: str) -> FrameDims:
 
 
 def _load_video(args) -> FrameSequence:
+    """Every luma plane of the input, for stages that index frames."""
     from . import frame_source
-    path = args.input
-    if path.lower().endswith(".y4m"):
-        with open(path, "rb") as fh:
+    if args.input.lower().endswith(".y4m"):
+        with open(args.input, "rb") as fh:
             return frame_source.read_y4m(fh)
-    if args.dims is None or args.fps is None:
-        raise EvsoError(
-            "raw input needs --dims WxH and --fps (or use a .y4m file)"
-        )
-    return frame_source.read_raw_yuv(path, args.dims, as_fps(args.fps),
-                                     args.layout)
+    with _open_video(args) as clip:
+        return frame_source.FrameSequence(frames=clip, fps=clip.fps)
+
+
+@contextlib.contextmanager
+def _open_video(args) -> Iterator[FrameStream]:
+    """The input as a FrameStream, read while the with block holds it open."""
+    from . import frame_source
+    raw = not args.input.lower().endswith(".y4m")
+    if raw and (args.dims is None or args.fps is None):
+        raise EvsoError("raw input needs --dims WxH and --fps (or use a .y4m file)")
+    fps = as_fps(args.fps) if raw else None
+    with open(args.input, "rb") as fh:
+        yield (frame_source.stream_raw_yuv(fh, args.dims, fps, args.layout)
+               if raw else frame_source.stream_y4m(fh))
 
 
 def _add_video_input(parser: argparse.ArgumentParser,
@@ -229,7 +241,9 @@ def _series_from_doc(doc: dict) -> DiffSeries:
         raise MalformedDocument(f"not an analysis document: {exc!r}") from None
 
 
-def _obtain_series(args, config: PipelineConfig) -> DiffSeries:
+def _obtain_series(args, config: PipelineConfig,
+                   with_ssim: bool = False) -> DiffSeries:
+    """The series in --analysis, or measured on the input as it is read."""
     analysis = getattr(args, "analysis", None)
     if analysis:
         if args.input:
@@ -238,7 +252,8 @@ def _obtain_series(args, config: PipelineConfig) -> DiffSeries:
     if not args.input:
         raise EvsoError("need a video input or --analysis")
     from . import similarity
-    return similarity.diff_series(_load_video(args), config.similarity)
+    with _open_video(args) as clip:
+        return similarity.diff_series(clip, config.similarity, with_ssim)
 
 
 def _schedule_to_doc(sched: fscheduler.RateSchedule) -> dict:
@@ -286,10 +301,7 @@ def _dump_json(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args, config: PipelineConfig) -> int:
-    from . import similarity
-    sequence = _load_video(args)
-    series = similarity.diff_series(sequence, config.similarity,
-                                    with_ssim=args.with_ssim)
+    series = _obtain_series(args, config, with_ssim=args.with_ssim)
     _emit(args, _dump_json(_series_to_doc(series)))
     return 0
 
@@ -351,15 +363,15 @@ def _chunk_files(directory: str) -> List[str]:
 
 
 def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
-                    sequence: FrameSequence) -> List[str]:
-    """Write a variant's chunks into directory and remove any other chunk
-    file there: left by an earlier, longer run, it would pass for this
-    run's. Returns the paths written, in chunk order."""
+                    sequence: FrameSequence, staged: bool = False) -> List[str]:
+    """Write a variant's chunks into directory, through _write_bytes, and
+    remove any other chunk file there: left by an earlier, longer run, it
+    would pass for this run's. Returns the paths written, in chunk order."""
     from . import vprocessor
     written = []
     for i, blob in enumerate(vprocessor.segment_streams(video, sequence)):
         written.append(os.path.join(directory, f"chunk_{i:03d}.y4m"))
-        _write_bytes(written[-1], blob)
+        _write_bytes(written[-1], blob, staged)
     for name in _chunk_files(directory):
         if os.path.join(directory, name) not in written:
             os.unlink(os.path.join(directory, name))
@@ -411,7 +423,8 @@ def _tree_manifest(root: str,
         bandwidths[level] = math.ceil(
             Fraction(total * 8) * sched.fps / sched.frame_count)
         if dims is None:
-            dims, _ = frame_source.sniff_y4m(os.path.join(level_dir, names[0]))
+            with open(os.path.join(level_dir, names[0]), "rb") as fh:
+                dims = frame_source.stream_y4m(fh).dims
     return empd.build_manifest(
         chunk_count=len(sched.entries),
         duration_seconds=Fraction(sched.frame_count) / sched.fps,
@@ -445,7 +458,7 @@ def _write_tree(root: str, sequence: FrameSequence,
             video = vprocessor.process(sequence, sched, profiles[label])
         if label in profiles:
             _write_segments(os.path.join(root, "segments", label), video,
-                            sequence)
+                            sequence, staged=True)
         quality = vprocessor.quality_report(video, sequence, memo)
         report[label] = {
             "kept_frames": quality.kept_count,

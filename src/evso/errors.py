@@ -35,6 +35,10 @@ class BlockTooLarge(EvsoError):
     """Synthetic moving block does not fit inside the frame."""
 
 
+class BadSynthOption(EvsoError, ValueError):
+    """Synthetic clip option out of range, or a corpus entry of unknown kind."""
+
+
 # --- similarity ------------------------------------------------------------
 
 class DimsMismatch(EvsoError):

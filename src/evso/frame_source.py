@@ -17,6 +17,7 @@ from typing import BinaryIO, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import (
+    BadSynthOption,
     BlockTooLarge,
     MalformedDocument,
     MalformedHeader,
@@ -89,6 +90,19 @@ class FrameSequence:
         return self.frames[index]
 
 
+@dataclass(frozen=True)
+class FrameStream:
+    """A clip whose luma planes are read from their source as iteration
+    reaches them: it holds no plane itself and can be iterated once."""
+
+    dims: FrameDims
+    fps: Fraction
+    planes: Iterator[np.ndarray]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.planes
+
+
 # ---------------------------------------------------------------------------
 # Y4M (YUV4MPEG2)
 # ---------------------------------------------------------------------------
@@ -152,44 +166,37 @@ def _parse_signature(header: bytes):
         raise MalformedHeader(str(exc)) from None
 
 
-def sniff_y4m(path) -> tuple:
-    """Read just the signature of a Y4M file: (dims, fps)."""
-    with open(path, "rb") as fh:
-        dims, fps, _ = _parse_signature(_readline(fh))
-    return dims, fps
+def stream_y4m(source: Union[bytes, BinaryIO]) -> FrameStream:
+    """Decode a YUV4MPEG2 stream as it is iterated, keeping each luma plane.
 
-
-def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
-    """Decode a YUV4MPEG2 stream, keeping only the luma plane of each frame.
-
-    The signature line must carry W, H and F parameters; interlace (I) and
-    aspect (A) tags are accepted and ignored. Supported color spaces are the
-    4:2:0 family and mono; for 4:2:0 the two ceil(W/2) x ceil(H/2) chroma
-    planes of each frame are skipped.
+    The signature line, read at once, must carry W, H and F parameters;
+    interlace (I) and aspect (A) tags are accepted and ignored. Supported
+    color spaces are the 4:2:0 family and mono; for 4:2:0 the two
+    ceil(W/2) x ceil(H/2) chroma planes of each frame are skipped.
     """
     stream = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
     dims, fps, color = _parse_signature(_readline(stream))
-    width, height = dims.width, dims.height
-
     if color == "mono":
         chroma_bytes = 0
     elif color in _Y4M_420_TAGS:
-        chroma_bytes = _chroma_420_bytes(width, height)
+        chroma_bytes = _chroma_420_bytes(dims.width, dims.height)
     else:
         raise UnsupportedColorSpace(f"color space {color!r}")
 
-    luma_bytes = width * height
-    planes = []
-    while True:
-        marker = _readline(stream)
-        if marker == b"":
-            break
-        if not marker.startswith(b"FRAME"):
-            raise MalformedHeader(f"expected FRAME marker, got {marker[:16]!r}")
-        payload = _read_exact(stream, luma_bytes, f"frame {len(planes)}: luma")
-        _read_exact(stream, chroma_bytes, f"frame {len(planes)}: chroma")
-        planes.append(np.frombuffer(payload, dtype=np.uint8).reshape(height, width))
-    return FrameSequence(frames=planes, fps=fps)
+    def planes() -> Iterator[np.ndarray]:
+        for i, marker in enumerate(iter(lambda: _readline(stream), b"")):
+            if not marker.startswith(b"FRAME"):
+                raise MalformedHeader(f"expected FRAME marker, got {marker[:16]!r}")
+            payload = _read_exact(stream, dims.pixels, f"frame {i}: luma")
+            _read_exact(stream, chroma_bytes, f"frame {i}: chroma")
+            yield np.frombuffer(payload, np.uint8).reshape(dims.height, dims.width)
+    return FrameStream(dims, fps, planes())
+
+
+def read_y4m(source: Union[bytes, BinaryIO]) -> FrameSequence:
+    """Every luma plane of a YUV4MPEG2 stream, as `stream_y4m` decodes them."""
+    clip = stream_y4m(source)
+    return FrameSequence(frames=clip, fps=clip.fps)
 
 
 def encode_y4m(planes: Sequence[np.ndarray], fps: FpsLike) -> bytes:
@@ -209,12 +216,14 @@ def encode_y4m(planes: Sequence[np.ndarray], fps: FpsLike) -> bytes:
 # Raw planar YUV
 # ---------------------------------------------------------------------------
 
-def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSequence:
-    """Split a headerless planar file into frames at a fixed stride.
+def stream_raw_yuv(fh: BinaryIO, dims: FrameDims, fps: FpsLike,
+                   layout: str) -> FrameStream:
+    """Split a headerless planar file into frames at a fixed stride as it is
+    iterated.
 
     layout "I420" expects W*H luma plus two ceil(W/2) x ceil(H/2) chroma
     planes per frame; "YONLY" expects bare luma planes. Only the luma portion
-    is read and kept.
+    is read.
     """
     layout = layout.upper()
     if layout == "I420":
@@ -223,34 +232,43 @@ def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSeque
         frame_bytes = dims.pixels
     else:
         raise ValueError(f"layout must be I420 or YONLY, got {layout!r}")
+    size = os.fstat(fh.fileno()).st_size
+    if size % frame_bytes != 0:
+        raise SizeMismatch(f"{size} bytes is not a multiple of the {frame_bytes}-byte "
+                           f"frame size for {layout} {dims}")
 
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size % frame_bytes != 0:
-            raise SizeMismatch(
-                f"{size} bytes is not a multiple of the {frame_bytes}-byte "
-                f"frame size for {layout} {dims}"
-            )
-        planes = []
+    def planes() -> Iterator[np.ndarray]:
         for i in range(size // frame_bytes):
             luma = _read_exact(fh, dims.pixels, f"frame {i}: luma")
             fh.seek(frame_bytes - dims.pixels, os.SEEK_CUR)
-            planes.append(np.frombuffer(luma, dtype=np.uint8)
-                          .reshape(dims.height, dims.width))
-    return FrameSequence(frames=planes, fps=fps)
+            yield np.frombuffer(luma, np.uint8).reshape(dims.height, dims.width)
+    return FrameStream(dims, as_fps(fps), planes())
+
+
+def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSequence:
+    """Every luma plane of a planar file, as `stream_raw_yuv` reads them."""
+    with open(path, "rb") as fh:
+        clip = stream_raw_yuv(fh, dims, fps, layout)
+        return FrameSequence(frames=clip, fps=clip.fps)
 
 
 # ---------------------------------------------------------------------------
 # Synthetic sequences
 # ---------------------------------------------------------------------------
 
+def _check_synth(count: int, **values: int) -> None:
+    """A synthetic clip has at least one frame, and 8-bit values in [0, 255]."""
+    for name, value in values.items():
+        if not 0 <= value <= 255:
+            raise BadSynthOption(f"{name} {value} outside [0, 255]")
+    if count < 1:
+        raise BadSynthOption("count must be >= 1")
+
+
 def synth_static(dims: FrameDims, count: int, luma_value: int,
                  fps: FpsLike = 30) -> FrameSequence:
     """`count` identical frames filled with one luma value."""
-    if not 0 <= luma_value <= 255:
-        raise ValueError(f"luma_value {luma_value} outside [0, 255]")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_synth(count, luma_value=luma_value)
     plane = np.full((dims.height, dims.width), luma_value, dtype=np.uint8)
     return FrameSequence(frames=(plane,) * count, fps=fps)
 
@@ -272,17 +290,11 @@ def synth_moving_block(dims: FrameDims, count: int, block_edge: int,
     frame, reflecting off the left/right borders so motion continues for any
     frame count. Fully deterministic.
     """
-    for name, luma in (("fg_luma", fg_luma), ("bg_luma", bg_luma)):
-        if not 0 <= luma <= 255:
-            raise ValueError(f"{name} {luma} outside [0, 255]")
+    _check_synth(count, fg_luma=fg_luma, bg_luma=bg_luma)
     if block_edge < 1:
-        raise ValueError("block_edge must be >= 1")
+        raise BadSynthOption("block_edge must be >= 1")
     if block_edge > min(dims.width, dims.height):
-        raise BlockTooLarge(
-            f"block edge {block_edge} exceeds frame {dims}"
-        )
-    if count < 1:
-        raise ValueError("count must be >= 1")
+        raise BlockTooLarge(f"block edge {block_edge} exceeds frame {dims}")
     span = dims.width - block_edge
     planes = []
     for t in range(count):
@@ -302,10 +314,7 @@ def synth_noise(dims: FrameDims, count: int, seed: int, amplitude: int,
     draws the whole clip as one uint8 block of shape (count, height, width),
     row-major, with each sample uniform on [0, amplitude].
     """
-    if not 0 <= amplitude <= 255:
-        raise ValueError(f"amplitude {amplitude} outside [0, 255]")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_synth(count, amplitude=amplitude)
     rng = np.random.Generator(np.random.PCG64(seed))
     block = rng.integers(0, amplitude + 1, size=(count, dims.height, dims.width),
                          dtype=np.uint8)
@@ -357,7 +366,7 @@ def build_corpus(entries: Sequence[dict]) -> list:
         for entry, fps in zip(entries, rates):
             kind = entry.get("kind")
             if kind not in builders:
-                raise ValueError(f"unknown corpus entry kind {kind!r}")
+                raise BadSynthOption(f"unknown corpus entry kind {kind!r}")
             dims = FrameDims(entry["width"], entry["height"])
             sequences.append(builders[kind](entry, dims, fps))
     except (AttributeError, KeyError, TypeError) as exc:

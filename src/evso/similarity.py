@@ -10,7 +10,7 @@ validation experiments.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     FrameTooSmall,
     TooFewFrames,
 )
-from .frame_source import FrameSequence
+from .frame_source import FrameSequence, FrameStream
 from .fscheduler import MACROBLOCK_EDGE, DiffSeries, PairDiff, SimilarityConfig
 
 #: Linear model mapping a per-pair changed-macroblock count to expected SSIM.
@@ -173,24 +173,28 @@ def ssim(a: np.ndarray, b: np.ndarray, work: Optional[tuple] = None) -> float:
     return float(np.mean(np.divide(numer, denom, out=numer)))
 
 
-def diff_series(sequence: FrameSequence,
+def diff_series(clip: Union[FrameSequence, FrameStream],
                 config: Optional[SimilarityConfig] = None,
                 with_ssim: bool = False) -> DiffSeries:
-    """Measure every adjacent pair of a sequence."""
-    if len(sequence) < 2:
-        raise TooFewFrames(f"need >= 2 frames, got {len(sequence)}")
+    """Measure every adjacent pair of a clip as its second frame arrives:
+    the clip is iterated once, and only the pair at hand is held."""
     cfg = config or SimilarityConfig()
-    work = ssim_work(sequence[0].shape) if with_ssim else None
+    frames = iter(clip)
+    a = next(frames, None)
+    work = ssim_work(a.shape) if with_ssim and a is not None else None
     pairs = []
-    for i in range(len(sequence) - 1):
-        a, b = sequence[i], sequence[i + 1]
+    for b in frames:
         d = _abs_diff(a, b)
         pairs.append(PairDiff(
             m_diff=_changed_blocks(d, cfg.theta),
             y_diff=_plane_sad(d),
             ssim=ssim(a, b, work) if with_ssim else None,
         ))
-    return DiffSeries(dims=sequence.dims, fps=sequence.fps, pairs=tuple(pairs))
+        a = b
+        del d  # the next frame is read while only b is held
+    if not pairs:
+        raise TooFewFrames(f"need >= 2 frames, got {0 if a is None else 1}")
+    return DiffSeries(dims=clip.dims, fps=clip.fps, pairs=tuple(pairs))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -5,10 +5,12 @@ import select
 import signal
 import subprocess
 import sys
+import tracemalloc
 import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evso import cli, empd, errors
@@ -302,6 +304,111 @@ def test_analyze_with_ssim_to_file(tmp_path):
     assert [p["index"] for p in doc["pairs"]] == list(range(44))
 
 
+def _frames_420(width=81, height=49, count=12):
+    """(luma, chroma) bytes of each frame of a fixed odd-sized 4:2:0 clip: a
+    diagonal ramp with a 20x20 noise patch that moves every other frame, so
+    half the pairs are still, a noise burst at frame 9 and fresh chroma on
+    every frame."""
+    rng = np.random.Generator(np.random.PCG64(15))
+    ramp = np.add.outer(np.arange(height), np.arange(width)) // 3
+    patch = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
+    chroma_bytes = ((width + 1) // 2) * ((height + 1) // 2) * 2
+    frames = []
+    for t in range(count):
+        luma = ramp.astype(np.uint8)
+        x = 7 * (t // 2)
+        luma[10:30, x:x + 20] = patch[:, :width - x]
+        if t == 9:
+            luma = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        chroma = rng.integers(0, 256, size=chroma_bytes, dtype=np.uint8)
+        frames.append((luma.tobytes(), chroma.tobytes()))
+    return frames
+
+
+def _write_y4m_420(path, frames, width=81, height=49):
+    """A C420jpeg Y4M at 30000/1001 fps of (luma, chroma) bytes, written a
+    frame at a time."""
+    with open(path, "wb") as fh:
+        fh.write(f"YUV4MPEG2 W{width} H{height} F30000:1001 Ip A1:1 C420jpeg\n"
+                 .encode())
+        for luma, chroma in frames:
+            fh.write(b"FRAME\n" + luma + chroma)
+    return path
+
+
+#: SHA-256 of `analyze --out` on the _frames_420 clip, by --with-ssim.
+_ANALYZE_SHA256 = {
+    False: "e41411d8104adb9456c367dd49a6717871deb1bbf194fed1e0bd8e9935e83d82",
+    True: "f921c43bfff81a6e8c8a38167286ce3c16d2d11025e3755096f4f052ce57531a",
+}
+
+
+@pytest.mark.parametrize("with_ssim", [False, True], ids=["plain", "ssim"])
+def test_analyze_is_byte_identical_to_recorded_digests(tmp_path, with_ssim):
+    clip = _write_y4m_420(tmp_path / "clip.y4m", _frames_420())
+    out = tmp_path / "a.json"
+    flags = ["--with-ssim"] if with_ssim else []
+    assert cli.main(["analyze", str(clip), *flags, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _ANALYZE_SHA256[with_ssim]
+
+
+def test_analyze_of_raw_i420_equals_analyze_of_the_same_y4m(tmp_path):
+    frames = _frames_420()
+    clip = _write_y4m_420(tmp_path / "clip.y4m", frames)
+    raw = tmp_path / "clip.yuv"
+    raw.write_bytes(b"".join(luma + chroma for luma, chroma in frames))
+    outs = tmp_path / "y4m.json", tmp_path / "raw.json"
+    assert cli.main(["analyze", str(clip), "--with-ssim",
+                     "--out", str(outs[0])]) == 0
+    assert cli.main(["analyze", str(raw), "--dims", "81x49", "--fps",
+                     "30000/1001", "--layout", "I420", "--with-ssim",
+                     "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _noise_frames_420(width, height, count):
+    """(luma, chroma) bytes of seeded noise frames, made one at a time."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    chroma = bytes(((width + 1) // 2) * ((height + 1) // 2) * 2)
+    for _ in range(count):
+        luma = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        yield luma.tobytes(), chroma
+
+
+@pytest.mark.parametrize("command", ["analyze", "split", "schedule"])
+def test_measuring_a_video_holds_a_few_planes_not_the_clip(tmp_path, capsys,
+                                                          command):
+    import evso.similarity  # noqa: F401  (its import is not what is measured)
+    width, height, count = 512, 256, 120
+    clip = _write_y4m_420(tmp_path / "long.y4m",
+                          _noise_frames_420(width, height, count), width, height)
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert cli.main([command, str(clip), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text())["frame_count"] == count
+    assert peak <= 6 * width * height  # the clip's luma is 120 planes
+
+
+@pytest.mark.parametrize("with_ssim", [False, True], ids=["plain", "ssim"])
+def test_analyze_of_a_clip_truncated_mid_frame_writes_nothing(tmp_path, capsys,
+                                                             with_ssim):
+    data = _write_y4m_420(tmp_path / "full.y4m", _frames_420()).read_bytes()
+    clip = tmp_path / "clip.y4m"
+    clip.write_bytes(data[:-100])
+    (tmp_path / "full.y4m").unlink()
+    out = tmp_path / "a.json"
+    flags = ["--with-ssim"] if with_ssim else []
+    capsys.readouterr()
+    assert cli.main(["analyze", str(clip), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: frame 11: chroma short by 100 bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.y4m"]
+
+
 def test_split_accepts_saved_analysis(tmp_path, capsys):
     clip = _synth_clip(tmp_path)
     analysis = tmp_path / "analysis.json"
@@ -503,6 +610,31 @@ def test_pipeline_tree_is_byte_identical_to_recorded_digests(tmp_path, capsys,
         for path in outdir.rglob("*") if path.is_file()
     }
     assert digests == _TREE_SHA256[name]
+
+
+def test_pipeline_writes_chunks_in_place_and_process_through_renames(
+        tmp_path, capsys, monkeypatch):
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG))
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    tree = tmp_path / "tree"
+    assert cli.main(["--config", str(cfg), "pipeline", str(clip),
+                     str(tree)]) == 0
+    assert len(list(tree.glob("segments/*/chunk_*.y4m"))) == 12
+    assert sorted(set(renamed)) == ["manifest.mpd", "quality_report.json",
+                                    "schedule.json", "segments"]
+    renamed.clear()
+    assert cli.main(["--config", str(cfg), "process", str(clip), "--profile",
+                     "evso", "--out", str(tmp_path / "segs")]) == 0
+    assert renamed == ["chunk_000.y4m", "chunk_001.y4m", "chunk_002.y4m"]
 
 
 def test_pipeline_scores_each_held_pair_once_across_variants(
@@ -901,7 +1033,8 @@ def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
           ("missing-keys", [{"kind": "static"}]),
           ("luma-str", [{"kind": "static", "width": 32, "height": 32,
                          "count": 4, "luma": "x"}]),
-          ("not-a-list", {"kind": "static"}))],
+          ("not-a-list", {"kind": "static"}),
+          ("kind-mystery", [{"kind": "mystery"}]))],
     *[pytest.param({}, ["synth", "moving-block", "--dims", "96x64", "--count",
                         "3", flag, value, "--out", "bad.y4m"], id=f"synth-{flag[2:]}")
       for flag, value in (("--fg-luma", "300"), ("--block-edge", "-5"))],

@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from evso.errors import (
+    BadSynthOption,
     BlockTooLarge,
+    EvsoError,
     MalformedDocument,
     MalformedHeader,
     SizeMismatch,
@@ -22,6 +25,8 @@ from evso.frame_source import (
     read_raw_yuv,
     read_y4m,
     standard_corpus,
+    stream_raw_yuv,
+    stream_y4m,
     synth_moving_block,
     synth_noise,
     synth_static,
@@ -168,6 +173,44 @@ def test_y4m_malformed_headers_rejected():
         read_y4m(b"YUV4MPEG2 W16 H16 F30\n")
     with pytest.raises(MalformedHeader):
         read_y4m(b"YUV4MPEG2 W16 H16 F30:1 Cmono\nBOGUS\n" + bytes(256))
+
+
+def test_y4m_malformed_frame_marker_after_good_frames_rejected():
+    planes = [np.full((16, 16), v, dtype=np.uint8) for v in (1, 2)]
+    blob = encode_y4m(planes, 30) + b"FRAMX\n" + bytes(256)
+    with pytest.raises(MalformedHeader, match="expected FRAME marker"):
+        read_y4m(blob)
+    clip = stream_y4m(blob)
+    assert [int(p[0, 0]) for p in itertools.islice(clip, 2)] == [1, 2]
+    with pytest.raises(MalformedHeader, match="expected FRAME marker"):
+        next(iter(clip))
+
+
+def test_stream_y4m_reads_a_frame_only_when_iteration_reaches_it():
+    planes = [np.full((16, 32), v, dtype=np.uint8) for v in (5, 6, 7)]
+    source = io.BytesIO(encode_y4m(planes, "30000/1001"))
+    header_end = len(source.getvalue()) - 3 * (6 + 16 * 32)
+    clip = stream_y4m(source)
+    assert (clip.dims, clip.fps) == (FrameDims(32, 16), Fraction(30000, 1001))
+    assert source.tell() == header_end
+    frames = iter(clip)
+    assert int(next(frames)[0, 0]) == 5
+    assert source.tell() == header_end + 6 + 16 * 32
+    assert [int(p[0, 0]) for p in frames] == [6, 7]
+    assert list(clip) == []  # a stream is read once
+
+
+def test_stream_raw_yuv_checks_the_size_before_any_frame(tmp_path):
+    path = tmp_path / "clip.yuv"
+    path.write_bytes(bytes(16 * 16 * 2 + 5))
+    with open(path, "rb") as fh:
+        with pytest.raises(SizeMismatch):
+            stream_raw_yuv(fh, FrameDims(16, 16), 30, "YONLY")
+    path.write_bytes(bytes(range(256)) * 3)
+    with open(path, "rb") as fh:
+        clip = stream_raw_yuv(fh, FrameDims(16, 16), "24", "YONLY")
+        assert clip.fps == 24 and fh.tell() == 0
+        assert [p.tobytes() for p in clip] == [bytes(range(256))] * 3
 
 
 @pytest.mark.parametrize("header", [b"YUV4MPEG2 Wx H16 F30:1\n",
@@ -385,6 +428,24 @@ def test_build_corpus_builds_each_kind():
     assert len({plane.tobytes() for plane in noise}) == 3
     with pytest.raises(ValueError):
         build_corpus([{"kind": "mystery"}])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: synth_static(FrameDims(16, 16), 0, 5),
+    lambda: synth_static(FrameDims(16, 16), 2, 256),
+    lambda: synth_moving_block(FrameDims(32, 16), 0, 8, 1, 200, 10),
+    lambda: synth_moving_block(FrameDims(32, 16), 2, 0, 1, 200, 10),
+    lambda: synth_moving_block(FrameDims(32, 16), 2, 8, 1, -1, 10),
+    lambda: synth_noise(FrameDims(16, 16), 0, 1, 10),
+    lambda: synth_noise(FrameDims(16, 16), 2, 1, 300),
+    lambda: build_corpus([{"kind": "mystery"}]),
+], ids=["static-count", "static-luma", "block-count", "block-edge",
+        "block-fg-luma", "noise-count", "noise-amplitude", "corpus-kind"])
+def test_synth_bad_options_raise_an_evso_error_that_is_a_value_error(build):
+    with pytest.raises(BadSynthOption) as info:
+        build()
+    assert isinstance(info.value, EvsoError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_build_corpus_checks_every_rate_before_building_planes(monkeypatch):

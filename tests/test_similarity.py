@@ -15,6 +15,7 @@ from evso.errors import (
 from evso.frame_source import (
     FrameDims,
     FrameSequence,
+    FrameStream,
     synth_moving_block,
     synth_noise,
     synth_static,
@@ -363,6 +364,30 @@ def test_diff_series_peak_memory_is_a_few_planes():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 1080 * 1920
+
+
+def test_diff_series_takes_a_generator_and_consumes_it_once():
+    seq = synth_moving_block(FrameDims(64, 32), 6, 16, 8, 200, 10)
+    pulled = []
+
+    def planes():
+        for pos, plane in enumerate(seq):
+            pulled.append(pos)
+            yield plane
+
+    stream = FrameStream(seq.dims, seq.fps, planes())
+    series = diff_series(stream, with_ssim=True)
+    assert pulled == list(range(6))
+    assert list(stream) == []
+    assert series == diff_series(seq, with_ssim=True)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_diff_series_of_a_stream_needs_two_frames(count):
+    seq = synth_noise(FrameDims(16, 16), 2, seed=0, amplitude=10)
+    stream = FrameStream(seq.dims, seq.fps, iter(seq.frames[:count]))
+    with pytest.raises(TooFewFrames, match=f"got {count}"):
+        diff_series(stream)
 
 
 def test_diff_series_needs_two_frames():

@@ -172,7 +172,8 @@ def stream_y4m(source: Union[bytes, BinaryIO]) -> FrameStream:
     The signature line, read at once, must carry W, H and F parameters;
     interlace (I) and aspect (A) tags are accepted and ignored. Supported
     color spaces are the 4:2:0 family and mono; for 4:2:0 the two
-    ceil(W/2) x ceil(H/2) chroma planes of each frame are skipped.
+    ceil(W/2) x ceil(H/2) chroma planes of each frame are read past, through
+    one held buffer of at most 64 KiB.
     """
     stream = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
     dims, fps, color = _parse_signature(_readline(stream))
@@ -184,11 +185,18 @@ def stream_y4m(source: Union[bytes, BinaryIO]) -> FrameStream:
         raise UnsupportedColorSpace(f"color space {color!r}")
 
     def planes() -> Iterator[np.ndarray]:
+        # Chroma is read past (pipes cannot seek) through one held piece.
+        piece = memoryview(bytearray(min(chroma_bytes, 1 << 16)))
         for i, marker in enumerate(iter(lambda: _readline(stream), b"")):
             if not marker.startswith(b"FRAME"):
                 raise MalformedHeader(f"expected FRAME marker, got {marker[:16]!r}")
             payload = _read_exact(stream, dims.pixels, f"frame {i}: luma")
-            _read_exact(stream, chroma_bytes, f"frame {i}: chroma")
+            left = chroma_bytes
+            while left:
+                got = stream.readinto(piece[:left])
+                if not got:
+                    raise TruncatedFrame(f"frame {i}: chroma short by {left} bytes")
+                left -= got
             yield np.frombuffer(payload, np.uint8).reshape(dims.height, dims.width)
     return FrameStream(dims, fps, planes())
 

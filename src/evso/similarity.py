@@ -60,32 +60,40 @@ def d_y(a: np.ndarray, b: np.ndarray, mb_row: int, mb_col: int,
     return 1 if sad_y_macroblock(a, b, mb_row, mb_col) > theta else 0
 
 
-def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact |a - b| of two uint8 planes as uint8: max - min never wraps."""
+#: Rows of |a - b| held at once: at 1080p, 8 macroblock rows keep the
+#: (2, 128, W) work array and its strip sums in a core's L2.
+_BAND_ROWS = 8 * MACROBLOCK_EDGE
+
+
+def _measure_pair(a: np.ndarray, b: np.ndarray, theta: int,
+                  work: Optional[np.ndarray] = None) -> Tuple[int, int]:
+    """(full 16x16 blocks whose SAD exceeds theta, whole-plane SAD) of two
+    uint8 planes. Each band of rows gets its exact |a - b| as max - min in
+    `work`, which a caller measuring many pairs reuses. Strips of 16 rows sum
+    in uint16 (at most 16*255), blocks in int32 (at most 65,280); the SAD
+    adds the edge columns and rows that no full block covers."""
     _check_same_dims(a, b)
-    d = np.maximum(a, b)
-    d -= np.minimum(a, b)
-    return d
-
-
-def _changed_blocks(d: np.ndarray, theta: int) -> int:
-    """Full 16x16 blocks of an |a - b| plane whose sum exceeds theta.
-
-    16-row strips sum in uint16 (at most 16*255); 16-column groups of a strip
-    then sum in int32 (at most 65,280).
-    """
-    rows, cols = d.shape[0] // MACROBLOCK_EDGE, d.shape[1] // MACROBLOCK_EDGE
+    height, width = a.shape
+    cols = width // MACROBLOCK_EDGE
     core_w = cols * MACROBLOCK_EDGE
-    strips = d[:rows * MACROBLOCK_EDGE, :core_w].reshape(
-        rows, MACROBLOCK_EDGE, core_w).sum(axis=1, dtype=np.uint16)
-    sads = strips.reshape(rows, cols, MACROBLOCK_EDGE).sum(axis=2, dtype=np.int32)
-    return int(np.count_nonzero(sads > theta))
-
-
-def _plane_sad(d: np.ndarray) -> int:
-    """Sum of an |a - b| plane: rows in a dtype that holds 255 * width."""
-    row_dtype = np.min_scalar_type(255 * d.shape[1])
-    return int(d.sum(axis=1, dtype=row_dtype).sum(dtype=np.int64))
+    if work is None:
+        work = np.empty((2, _BAND_ROWS, width), np.uint8)
+    changed = total = 0
+    for r0 in range(0, height, _BAND_ROWS):
+        rows = min(_BAND_ROWS, height - r0)
+        d, low = work[0, :rows], work[1, :rows]
+        np.maximum(a[r0:r0 + rows], b[r0:r0 + rows], out=d)
+        np.minimum(a[r0:r0 + rows], b[r0:r0 + rows], out=low)
+        d -= low
+        core_h = rows // MACROBLOCK_EDGE * MACROBLOCK_EDGE
+        strips = d[:core_h].reshape(core_h // MACROBLOCK_EDGE, MACROBLOCK_EDGE,
+                                    width).sum(axis=1, dtype=np.uint16)
+        sads = strips[:, :core_w].reshape(len(strips), cols, MACROBLOCK_EDGE).sum(
+            axis=2, dtype=np.int32)
+        changed += int(np.count_nonzero(sads > theta))
+        total += (int(sads.sum(dtype=np.int64)) + int(d[core_h:].sum(dtype=np.int64))
+                  + int(strips[:, core_w:].sum(dtype=np.int64)))
+    return changed, total
 
 
 def m_diff(a: np.ndarray, b: np.ndarray,
@@ -95,13 +103,12 @@ def m_diff(a: np.ndarray, b: np.ndarray,
     Only full 16x16 blocks participate; partial rows/columns at the right and
     bottom edges are ignored. Equality with theta does not count as changed.
     """
-    theta = (config or SimilarityConfig()).theta
-    return _changed_blocks(_abs_diff(a, b), theta)
+    return _measure_pair(a, b, (config or SimilarityConfig()).theta)[0]
 
 
 def y_diff(a: np.ndarray, b: np.ndarray) -> int:
     """Whole-plane SAD of two uint8 planes, edge pixels included."""
-    return _plane_sad(_abs_diff(a, b))
+    return _measure_pair(a, b, 0)[1]
 
 
 def _window_sums(stack: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -181,17 +188,14 @@ def diff_series(clip: Union[FrameSequence, FrameStream],
     cfg = config or SimilarityConfig()
     frames = iter(clip)
     a = next(frames, None)
+    bands = None if a is None else np.empty((2, _BAND_ROWS, a.shape[1]), np.uint8)
     work = ssim_work(a.shape) if with_ssim and a is not None else None
     pairs = []
     for b in frames:
-        d = _abs_diff(a, b)
-        pairs.append(PairDiff(
-            m_diff=_changed_blocks(d, cfg.theta),
-            y_diff=_plane_sad(d),
-            ssim=ssim(a, b, work) if with_ssim else None,
-        ))
+        changed, sad = _measure_pair(a, b, cfg.theta, bands)
+        pairs.append(PairDiff(m_diff=changed, y_diff=sad,
+                              ssim=ssim(a, b, work) if with_ssim else None))
         a = b
-        del d  # the next frame is read while only b is held
     if not pairs:
         raise TooFewFrames(f"need >= 2 frames, got {0 if a is None else 1}")
     return DiffSeries(dims=clip.dims, fps=clip.fps, pairs=tuple(pairs))

@@ -394,6 +394,24 @@ def test_measuring_a_video_holds_a_few_planes_not_the_clip(tmp_path, capsys,
     assert peak <= 6 * width * height  # the clip's luma is 120 planes
 
 
+def test_analyze_of_a_1080p_clip_holds_the_pair_and_band_scratch(tmp_path,
+                                                                 capsys):
+    import evso.similarity  # noqa: F401  (its import is not what is measured)
+    width, height = 1920, 1080
+    clip = _write_y4m_420(tmp_path / "hd.y4m",
+                          _noise_frames_420(width, height, 4), width, height)
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["analyze", str(clip), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text())["frame_count"] == 4
+    # Two planes, plus a band of |a - b| and a chroma piece, not planes.
+    assert peak <= 3 * width * height
+
+
 @pytest.mark.parametrize("with_ssim", [False, True], ids=["plain", "ssim"])
 def test_analyze_of_a_clip_truncated_mid_frame_writes_nothing(tmp_path, capsys,
                                                              with_ssim):

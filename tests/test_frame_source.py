@@ -292,6 +292,55 @@ def test_y4m_frames_larger_than_one_read_piece_round_trip(tmp_path):
     assert back[0].tobytes() == plane.tobytes()
 
 
+def _y4m_420(width, height, count, seed=21):
+    """A seeded C420jpeg clip as bytes, and its luma planes."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chroma_bytes = ((width + 1) // 2) * ((height + 1) // 2) * 2
+    planes = rng.integers(0, 256, size=(count, height, width), dtype=np.uint8)
+    blob = f"YUV4MPEG2 W{width} H{height} F25:1 Ip C420jpeg\n".encode()
+    for plane in planes:
+        chroma = rng.integers(0, 256, size=chroma_bytes, dtype=np.uint8)
+        blob += b"FRAME\n" + plane.tobytes() + chroma.tobytes()
+    return blob, planes
+
+
+class _Pipe(io.RawIOBase):
+    """A non-seekable source whose reads return at most 1000 bytes."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(memoryview(buffer)[:1000])
+
+
+def test_y4m_chroma_larger_than_one_held_piece_round_trips(tmp_path):
+    blob, planes = _y4m_420(400, 400, 3)  # 80,000 chroma bytes a frame
+    path = tmp_path / "clip.y4m"
+    path.write_bytes(blob)
+    pipe = _Pipe(blob)
+    assert not pipe.seekable()
+    with open(path, "rb") as fh:
+        for back in (read_y4m(fh), read_y4m(pipe)):
+            assert back.dims == FrameDims(400, 400)
+            assert all(np.array_equal(a, b) for a, b in zip(back, planes))
+            assert len(back) == 3
+
+
+def test_y4m_chroma_cut_inside_its_second_piece_is_truncated(tmp_path):
+    blob, _ = _y4m_420(400, 400, 2)
+    path = tmp_path / "clip.y4m"
+    path.write_bytes(blob[:-10_000])  # 70,000 of frame 1's 80,000 remain
+    with open(path, "rb") as fh:
+        for source in (fh, _Pipe(blob[:-10_000])):
+            with pytest.raises(TruncatedFrame) as err:
+                read_y4m(source)
+            assert str(err.value) == "frame 1: chroma short by 10000 bytes"
+
+
 def test_encode_y4m_of_strided_views_equals_their_copies():
     rng = np.random.Generator(np.random.PCG64(3))
     base = rng.integers(0, 256, size=(64, 96), dtype=np.uint8)

@@ -366,6 +366,20 @@ def test_diff_series_peak_memory_is_a_few_planes():
     assert peak <= 4 * 1080 * 1920
 
 
+def test_diff_series_scratch_is_bounded_by_bands_not_planes():
+    rng = np.random.Generator(np.random.PCG64(6))
+    seq = FrameSequence(
+        frames=rng.integers(0, 256, size=(3, 1080, 1920), dtype=np.uint8),
+        fps=30)
+    tracemalloc.start()
+    try:
+        diff_series(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1080 * 1920 // 2  # the frames were made before tracing
+
+
 def test_diff_series_takes_a_generator_and_consumes_it_once():
     seq = synth_moving_block(FrameDims(64, 32), 6, 16, 8, 200, 10)
     pulled = []

@@ -214,6 +214,7 @@ def test_serve_rejects_unknown_and_external_paths(tmp_path):
                      "segments/"):
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(handle.url + path)
+            err.value.close()
             assert err.value.code == 404
 
 

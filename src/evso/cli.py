@@ -706,15 +706,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["static", "moving-block", "noise"])
     p.add_argument("--dims", type=_parse_dims, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--fps", default="30")
     p.add_argument("--luma", type=int, default=128, help="static fill value")
     p.add_argument("--block-edge", type=int, default=16)
     p.add_argument("--velocity", type=int, default=8,
                    help="block speed in pixels per frame")
-    p.add_argument("--fg-luma", type=int, default=235)
-    p.add_argument("--bg-luma", type=int, default=16)
     p.add_argument("--seed", type=int, default=0, help="noise generator seed")
-    p.add_argument("--amplitude", type=int, default=255,
+    # Absent options stay absent, so build_corpus supplies their defaults.
+    p.add_argument("--fps", default=argparse.SUPPRESS)
+    p.add_argument("--fg-luma", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--bg-luma", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--amplitude", type=int, default=argparse.SUPPRESS,
                    help="top of the noise value range")
     p.add_argument("--out", required=True, help="output .y4m path")
     p.set_defaults(func=cmd_synth)

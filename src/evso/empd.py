@@ -7,6 +7,7 @@ baseline sets, and serialized output stays byte-stable for identical inputs.
 
 from __future__ import annotations
 
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from decimal import Decimal
@@ -217,27 +218,23 @@ def _parse_duration(text: Optional[str]) -> Fraction:
     if not (raw.startswith("PT") and raw.endswith("S")):
         raise MalformedXml(f"unsupported duration {text!r}")
     try:
-        return Fraction(raw[2:-1])
-    except (ValueError, ZeroDivisionError) as exc:
+        # Decimal reads "1e999999999" without expanding it, as Fraction would.
+        seconds = Decimal(raw[2:-1])
+        if seconds and abs(seconds.adjusted()) > 400:
+            raise MalformedXml(f"duration {text!r} does not fit a float")
+        return Fraction(seconds)
+    except (ArithmeticError, ValueError) as exc:
         raise MalformedXml(f"bad duration {text!r}") from exc
 
 
 def _parse_representation(node: ET.Element, fallback_id: str) -> Representation:
-    urls = []
-    for child in node:
-        if _localname(child.tag) != "SegmentList":
-            continue
-        for seg in child:
-            if _localname(seg.tag) == "SegmentURL":
-                media = seg.get("media")
-                if media:
-                    urls.append(media)
     width = node.get("width")
     height = node.get("height")
     return Representation(
         id=node.get("id") or fallback_id,
         bandwidth=int(node.get("bandwidth") or 0),
-        segment_urls=tuple(urls),
+        segment_urls=tuple(seg.get("media") for seg in node.iterfind(
+            "{*}SegmentList/{*}SegmentURL") if seg.get("media")),
         width=int(width) if width is not None else None,
         height=int(height) if height is not None else None,
         mime_type=node.get("mimeType") or "video/mp4",
@@ -280,22 +277,17 @@ def parse_xml(data: Union[bytes, str]) -> EmpdManifest:
         root = ET.fromstring(data)
         if _localname(root.tag) != "MPD":
             raise MalformedXml(f"root element {root.tag!r} is not MPD")
-        for p_node in root:
-            if _localname(p_node.tag) != "Period":
-                continue
-            sets = []
-            for a_node in p_node:
-                if _localname(a_node.tag) != "AdaptationSet":
-                    continue
-                aset = _parse_adaptation_set(a_node)
-                if aset is not None:
-                    sets.append(aset)
+        for p_node in root.iterfind("{*}Period"):
             periods.append(Period(
+                adaptation_sets=tuple(filter(None, map(
+                    _parse_adaptation_set, p_node.iterfind("{*}AdaptationSet")))),
                 duration_seconds=_parse_duration(p_node.get("duration")),
-                adaptation_sets=tuple(sets),
             ))
-    except (ET.ParseError, ValueError) as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise MalformedXml(str(exc)) from exc
     if not periods:
         raise MalformedXml("manifest has no Period elements")
-    return EmpdManifest(periods=tuple(periods))
+    manifest = EmpdManifest(periods=tuple(periods))
+    if manifest.duration_seconds > sys.float_info.max:
+        raise MalformedXml("manifest duration exceeds the largest float")
+    return manifest

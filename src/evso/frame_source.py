@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Iterator, Sequence, Union
@@ -151,15 +152,13 @@ def _parse_signature(header: bytes):
                 height = int(tag[1:])
             elif tag.startswith("F"):
                 num, _, den = tag[1:].partition(":")
-                fps = Fraction(int(num), int(den))
+                fps = as_fps(Fraction(int(num), int(den)))
             elif tag.startswith("C"):
                 color = tag[1:]
         except (ValueError, ZeroDivisionError):
             raise MalformedHeader(f"bad {tag[0]} tag {tag!r}") from None
     if width is None or height is None or fps is None:
         raise MalformedHeader("header lacks one of W/H/F")
-    if fps <= 0:
-        raise MalformedHeader("non-positive frame rate")
     try:
         return FrameDims(width, height), fps, color
     except ValueError as exc:
@@ -231,7 +230,7 @@ def stream_raw_yuv(fh: BinaryIO, dims: FrameDims, fps: FpsLike,
 
     layout "I420" expects W*H luma plus two ceil(W/2) x ceil(H/2) chroma
     planes per frame; "YONLY" expects bare luma planes. Only the luma portion
-    is read.
+    is read. fh must be a regular file, since its size gives the frame count.
     """
     layout = layout.upper()
     if layout == "I420":
@@ -240,7 +239,10 @@ def stream_raw_yuv(fh: BinaryIO, dims: FrameDims, fps: FpsLike,
         frame_bytes = dims.pixels
     else:
         raise ValueError(f"layout must be I420 or YONLY, got {layout!r}")
-    size = os.fstat(fh.fileno()).st_size
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        raise SizeMismatch("raw input must be a regular file: its size counts frames")
+    size = info.st_size
     if size % frame_bytes != 0:
         raise SizeMismatch(f"{size} bytes is not a multiple of the {frame_bytes}-byte "
                            f"frame size for {layout} {dims}")

@@ -14,6 +14,7 @@ the whole configuration loaded without numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import sys
@@ -329,16 +330,10 @@ def epf(d: int, factors: Sequence[float], gamma: Fraction,
         taus: Sequence[int] = DEFAULT_TAUS) -> float:
     """Per-pair target rate: the band factor for d times the playback rate.
 
-    Band lower bounds are inclusive, so d equal to a boundary takes the
-    higher band's factor.
+    taus must increase. Band lower bounds are inclusive, so d equal to a
+    boundary takes the higher band's factor.
     """
-    band = 0
-    for bound in taus:
-        if d >= bound:
-            band += 1
-        else:
-            break
-    return factors[band] * float(gamma)
+    return factors[bisect.bisect_right(taus, d)] * float(gamma)
 
 
 def chunk_sigma(series: DiffSeries, chunk: ChunkRange) -> float:
@@ -365,12 +360,10 @@ def evf(series: DiffSeries, chunk: ChunkRange, factors: Sequence[float],
     positive because every band factor is.
     """
     cfg = config or ScheduleConfig()
+    sigma = chunk_sigma(series, chunk)  # raises ChunkTooSmall on a pairless chunk
     values = series.m_diffs[chunk.start:chunk.end - 1]
-    if not values:
-        raise ChunkTooSmall(f"chunk {chunk} holds no frame pairs")
     mean_rate = sum(epf(d, factors, gamma, cfg.taus) for d in values) / len(values)
-    rate = mean_rate + cfg.delta * chunk_sigma(series, chunk)
-    return min(rate, float(gamma))
+    return min(mean_rate + cfg.delta * sigma, float(gamma))
 
 
 class ChunkScheduleEntry(NamedTuple):

@@ -168,20 +168,20 @@ def segment_count(manifest: EmpdManifest) -> int:
 
 
 def simulate_session(manifest: EmpdManifest, trace: Sequence[TracePoint],
-                     default_battery: BatteryLevel = BatteryLevel.HIGH,
-                     default_bandwidth: int = 10 ** 9) -> SessionLog:
+                     default_battery: BatteryLevel = BatteryLevel.HIGH
+                     ) -> SessionLog:
     """Select one representation per segment under a condition trace.
 
     Trace points take effect at their segment index and hold until the next
-    point; segments before the first point use the defaults. A battery left
-    blank in a point keeps the battery already in effect. A representation
-    shorter than the session repeats its last segment; one with no segment
-    at all raises InvariantViolation.
+    point; segments before the first point use default_battery and 10**9
+    bit/s. A battery left blank in a point keeps the battery already in
+    effect. A representation shorter than the session repeats its last
+    segment; one with no segment at all raises InvariantViolation.
     """
     count = segment_count(manifest)
     points = sorted(trace, key=lambda p: p.segment_index)
     rows = []
-    bandwidth = default_bandwidth
+    bandwidth = 10 ** 9
     battery = default_battery
     cursor = 0
     for index in range(count):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import select
 import signal
 import subprocess
@@ -824,6 +825,30 @@ def test_simulate_rejects_malformed_trace(tmp_path, capsys):
         assert cli.main(["simulate", str(outdir / "manifest.mpd"),
                          "--trace", str(trace)]) == 1
         assert "error: not a trace CSV" in capsys.readouterr().err
+
+
+def test_unreadable_manifest_prints_error_and_exits_1(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    assert cli.main(["pipeline", str(clip), str(tmp_path / "tree")]) == 0
+    good = (tmp_path / "tree" / "manifest.mpd").read_bytes()
+    period = re.search(rb"<Period .*</Period>", good, re.S).group(0)
+    largest = re.sub(rb'duration="[^"]*"', b'duration="PT1e308S"', period)
+    bad = {
+        "encoding": good.replace(b"encoding='utf-8'", b"encoding='otf-8'"),
+        "duration": good.replace(period, re.sub(
+            rb'duration="[^"]*"', b'duration="PT1e999S"', period)),
+        "total": good.replace(period, largest * 2),
+    }
+    trace = tmp_path / "trace.csv"
+    trace.write_text("segment_index,bandwidth_bps,battery_level\n0,1000,high\n")
+    for name, data in bad.items():
+        path = tmp_path / f"{name}.mpd"
+        path.write_bytes(data)
+        for argv in (["manifest", "--parse", str(path)],
+                     ["simulate", str(path), "--trace", str(trace)]):
+            capsys.readouterr()
+            assert cli.main(argv) == 1, (name, argv)
+            assert capsys.readouterr().err.startswith("error:"), (name, argv)
 
 
 def test_missing_input_reports_error(tmp_path, capsys):

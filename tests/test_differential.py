@@ -1,8 +1,11 @@
-"""`evso analyze` on seeded clips against the benchmark's independent oracle.
+"""`evso analyze` and `evso pipeline` on seeded clips against the benchmark's
+independent oracle.
 
-`perfbench/checks.py` rebuilds each pair's changed-block count and SAD from
-the clip by the method's definitions, without evso's code. It is imported by
-path, so the oracle the benchmark runs is the one these tests run.
+`perfbench/checks.py` rebuilds each pair's changed-block count and SAD, and
+every output of a pipeline tree (split, rates, kept frames, segments,
+manifest and mean SSIM), from the clip by the method's definitions, without
+evso's code. It is imported by path, so the oracle the benchmark runs is the
+one these tests run.
 """
 
 import importlib.util
@@ -104,3 +107,37 @@ def test_analyze_matches_the_oracle_on_seeded_clips(tmp_path, seed, width,
         for limit in (0, 65_279, 65_280):
             expected = sum(sad > limit for sad in sads)
             assert m_diff(a, b, SimilarityConfig(theta=limit)) == expected
+
+
+def _grid_config(width, height):
+    """Thresholds scaled to a grid of G macroblocks, so that noise cuts and
+    block changes cut chunks: k_window 3 and strictly increasing taus."""
+    blocks = (width // 16) * (height // 16)
+    tau = max(1, blocks // 5)
+    return {"alpha": max(1, blocks // 4), "beta": max(1, blocks // 2),
+            "k_window": 3, "taus": [tau, 2 * tau, 3 * tau, 4 * tau]}
+
+
+def _pipeline_cases():
+    rng = np.random.Generator(np.random.PCG64(1980))
+    drawn = [tuple(int(v) for v in rng.integers(16, 101, size=2))
+             for _ in range(9)]
+    return list(enumerate(((16, 16), (33, 17), (99, 65)) + tuple(drawn)))
+
+
+@pytest.mark.parametrize("seed,shape", _pipeline_cases())
+def test_pipeline_matches_the_oracle_on_seeded_clips(tmp_path, seed, shape):
+    width, height = shape
+    rng = np.random.Generator(np.random.PCG64(100 + seed))
+    frames = _clip_frames(rng, width, height, int(rng.integers(2, 91)))
+    path = tmp_path / "clip.y4m"
+    _write_clip(path, frames, RATES[seed % len(RATES)], mono=seed % 3 == 0,
+                rng=rng)
+    config = _grid_config(width, height)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    tree = tmp_path / "tree"
+    assert cli.main(["--config", str(config_path), "pipeline", str(path),
+                     str(tree)]) == 0
+    counts = checks.check_pipeline_tree(tree, path, config)
+    assert 1 <= counts["chunks"] <= 8

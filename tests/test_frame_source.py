@@ -1,5 +1,6 @@
 import io
 import itertools
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -211,6 +212,15 @@ def test_stream_raw_yuv_checks_the_size_before_any_frame(tmp_path):
         clip = stream_raw_yuv(fh, FrameDims(16, 16), "24", "YONLY")
         assert clip.fps == 24 and fh.tell() == 0
         assert [p.tobytes() for p in clip] == [bytes(range(256))] * 3
+
+
+def test_stream_raw_yuv_refuses_a_pipe_before_any_frame():
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as fh, open(write_end, "wb") as sink:
+        sink.write(bytes(16 * 16 * 2))
+        sink.flush()
+        with pytest.raises(SizeMismatch, match="regular file"):
+            stream_raw_yuv(fh, FrameDims(16, 16), 30, "YONLY")
 
 
 @pytest.mark.parametrize("header", [b"YUV4MPEG2 Wx H16 F30:1\n",

@@ -2,8 +2,9 @@
 
 Subcommands mirror the processing stages: analyze (pair diffs), split and
 schedule (chunking and rates), process (retiming), pipeline (everything into
-one output tree), manifest, correlate, simulate, serve, and synth. All
-outputs are written atomically: staged next to the target, then renamed.
+one output tree), manifest, correlate, simulate, serve, and synth. Each
+takes one `fscheduler.Config`: the defaults, or those of the --config file.
+All outputs are written atomically: staged next to the target, then renamed.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ import sys
 import tempfile
 import time
 import uuid
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import empd, fscheduler, stream_sim
 from .empd import EvsoLevel
 from .errors import ChunkTooSmall, EvsoError, MalformedDocument
-from .fscheduler import (PROFILE_FACTORS, DiffSeries, FrameDims, PairDiff,
-                         ScheduleConfig, SimilarityConfig, SplitConfig, as_fps)
+from .fscheduler import (PROFILE_FACTORS, Config, DiffSeries, FrameDims,
+                         PairDiff, as_fps)
 
 if TYPE_CHECKING:
     from . import vprocessor
@@ -44,49 +45,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PipelineConfig:
-    """Every tunable of the pipeline, JSON-loadable as one flat document.
-
-    The document's keys are the fields of the three stage configs, in order;
-    their defaults live in those classes. A "profiles" object overrides the
-    profiles it names; a name no level plays is refused.
-    """
-
-    similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
-    split: SplitConfig = field(default_factory=SplitConfig)
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-
-    def to_dict(self) -> dict:
-        doc = {}
-        for part in (self.similarity, self.split, self.schedule):
-            doc.update((f.name, getattr(part, f.name)) for f in fields(part))
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise MalformedDocument("a config document must be a JSON object")
-        if _holds_bool(doc):
-            raise MalformedDocument("config values must not be true or false")
-        merged = cls().to_dict()
-        unknown = sorted(set(doc) - set(merged))
-        if unknown:
-            raise MalformedDocument(f"unknown config keys: {', '.join(unknown)}")
-        merged.update(doc)
-        if isinstance(doc.get("profiles"), dict):
-            unknown = sorted(set(doc["profiles"]) - set(PROFILE_FACTORS))
-            if unknown:
-                raise MalformedDocument(f"unknown profiles: {', '.join(unknown)}")
-            merged["profiles"] = {**PROFILE_FACTORS, **doc["profiles"]}
-        try:
-            return cls(*(kind(**{f.name: merged[f.name] for f in fields(kind)})
-                         for kind in (SimilarityConfig, SplitConfig,
-                                      ScheduleConfig)))
-        except (AttributeError, TypeError) as exc:
-            raise MalformedDocument(f"wrongly typed config value: {exc}") from None
-
-
 def _holds_bool(value) -> bool:
     """Whether value is, or holds at any depth, true or false. Python counts
     them as the numbers 1 and 0, so each config check would let one pass."""
@@ -97,9 +55,9 @@ def _holds_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def format_config(doc: dict) -> str:
-    """One top-level key per line, values in compact JSON."""
-    items = list(doc.items())
+def format_config(config: Config) -> str:
+    """One field per line, in Config's order, values in compact JSON."""
+    items = list(asdict(config).items())
     lines = ["{"]
     for pos, (key, value) in enumerate(items):
         comma = "," if pos < len(items) - 1 else ""
@@ -122,10 +80,29 @@ def _read_json(path: str):
         return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
-def load_config(path: Optional[str]) -> PipelineConfig:
+def load_config(path: Optional[str]) -> Config:
+    """The Config of a JSON file holding any of Config's fields, or the
+    defaults without one. A "profiles" object overrides the profiles it
+    names; a name no level plays is refused."""
     if path is None:
-        return PipelineConfig()
-    return PipelineConfig.from_dict(_read_json(path))
+        return Config()
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise MalformedDocument("a config document must be a JSON object")
+    if _holds_bool(doc):
+        raise MalformedDocument("config values must not be true or false")
+    unknown = sorted(set(doc) - {f.name for f in fields(Config)})
+    if unknown:
+        raise MalformedDocument(f"unknown config keys: {', '.join(unknown)}")
+    if isinstance(doc.get("profiles"), dict):
+        unknown = sorted(set(doc["profiles"]) - set(PROFILE_FACTORS))
+        if unknown:
+            raise MalformedDocument(f"unknown profiles: {', '.join(unknown)}")
+        doc["profiles"] = {**PROFILE_FACTORS, **doc["profiles"]}
+    try:
+        return Config(**doc)
+    except (AttributeError, TypeError) as exc:
+        raise MalformedDocument(f"wrongly typed config value: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +218,7 @@ def _series_from_doc(doc: dict) -> DiffSeries:
         raise MalformedDocument(f"not an analysis document: {exc!r}") from None
 
 
-def _obtain_series(args, config: PipelineConfig,
-                   with_ssim: bool = False) -> DiffSeries:
+def _obtain_series(args, config: Config, with_ssim: bool = False) -> DiffSeries:
     """The series in --analysis, or measured on the input as it is read."""
     analysis = getattr(args, "analysis", None)
     if analysis:
@@ -253,7 +229,7 @@ def _obtain_series(args, config: PipelineConfig,
         raise EvsoError("need a video input or --analysis")
     from . import similarity
     with _open_video(args) as clip:
-        return similarity.diff_series(clip, config.similarity, with_ssim)
+        return similarity.diff_series(clip, config, with_ssim)
 
 
 def _schedule_to_doc(sched: fscheduler.RateSchedule) -> dict:
@@ -300,35 +276,32 @@ def _dump_json(doc: dict) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args, config: PipelineConfig) -> int:
+def cmd_analyze(args, config: Config) -> int:
     series = _obtain_series(args, config, with_ssim=args.with_ssim)
     _emit(args, _dump_json(_series_to_doc(series)))
     return 0
 
 
-def cmd_split(args, config: PipelineConfig) -> int:
+def cmd_split(args, config: Config) -> int:
     series = _obtain_series(args, config)
     gamma = as_fps(args.gamma or series.fps)
-    plan = fscheduler.split(series, gamma=gamma, config=config.split)
+    chunks = fscheduler.split(series, gamma=gamma, config=config)
     doc = {
-        "frame_count": plan.frame_count,
-        "fps": str(plan.fps),
+        "frame_count": series.frame_count,
+        "fps": str(series.fps),
         "gamma": str(gamma),
-        "chunks": [{"start": c.start, "end": c.end} for c in plan],
+        "chunks": [{"start": c.start, "end": c.end} for c in chunks],
     }
     _emit(args, _dump_json(doc))
     return 0
 
 
-def _schedule(series: DiffSeries, args,
-              config: PipelineConfig) -> fscheduler.RateSchedule:
+def _schedule(series: DiffSeries, args, config: Config) -> fscheduler.RateSchedule:
     """Split and rate a series at --gamma, or at the source rate without it."""
-    return fscheduler.schedule(series, gamma=args.gamma or None,
-                               split_config=config.split,
-                               schedule_config=config.schedule)
+    return fscheduler.schedule(series, gamma=args.gamma or None, config=config)
 
 
-def cmd_schedule(args, config: PipelineConfig) -> int:
+def cmd_schedule(args, config: Config) -> int:
     sched = _schedule(_obtain_series(args, config), args, config)
     _emit(args, _dump_json(_schedule_to_doc(sched)))
     return 0
@@ -345,11 +318,11 @@ def _flat(sequence: FrameSequence, label: str) -> vprocessor.ProcessedVideo:
 
 
 def _processed_for_profile(sequence: FrameSequence, args,
-                           config: PipelineConfig) -> vprocessor.ProcessedVideo:
+                           config: Config) -> vprocessor.ProcessedVideo:
     from . import similarity, vprocessor
     if args.profile in _FLAT_SHARES:
         return _flat(sequence, args.profile)
-    series = similarity.diff_series(sequence, config.similarity)
+    series = similarity.diff_series(sequence, config)
     return vprocessor.process(sequence, _schedule(series, args, config),
                               args.profile)
 
@@ -378,7 +351,7 @@ def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
     return written
 
 
-def cmd_process(args, config: PipelineConfig) -> int:
+def cmd_process(args, config: Config) -> int:
     from . import vprocessor
     sequence = _load_video(args)
     video = _processed_for_profile(sequence, args, config)
@@ -435,14 +408,13 @@ def _tree_manifest(root: str,
     )
 
 
-def _write_tree(root: str, sequence: FrameSequence,
-                config: PipelineConfig, args) -> dict:
+def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dict:
     """Segments per level, manifest, schedule and quality report under root.
 
     Returns the chunk count and each level's bandwidth.
     """
     from . import similarity, vprocessor
-    series = similarity.diff_series(sequence, config.similarity)
+    series = similarity.diff_series(sequence, config)
     sched = _schedule(series, args, config)
     ranges = tuple(entry.range for entry in sched)
 
@@ -491,7 +463,7 @@ _TREE_ENTRIES = ("segments", "schedule.json", "quality_report.json",
                  "manifest.mpd")
 
 
-def cmd_pipeline(args, config: PipelineConfig) -> int:
+def cmd_pipeline(args, config: Config) -> int:
     sequence = _load_video(args)
     outdir = args.outdir
     if os.path.exists(outdir) and os.listdir(outdir) and not args.force:
@@ -515,7 +487,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_manifest(args, config: PipelineConfig) -> int:
+def cmd_manifest(args, config: Config) -> int:
     if args.parse:
         with open(args.parse, "rb") as fh:
             manifest = empd.parse_xml(fh.read())
@@ -547,7 +519,7 @@ def cmd_manifest(args, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_correlate(args, config: PipelineConfig) -> int:
+def cmd_correlate(args, config: Config) -> int:
     from . import frame_source, similarity
     if args.corpus:
         sequences = frame_source.build_corpus(_read_json(args.corpus))
@@ -556,7 +528,7 @@ def cmd_correlate(args, config: PipelineConfig) -> int:
     diffs: List[int] = []
     ssims: List[float] = []
     for sequence in sequences:
-        series = similarity.diff_series(sequence, config.similarity,
+        series = similarity.diff_series(sequence, config,
                                         with_ssim=True)
         for pair in series.pairs:
             diffs.append(pair.m_diff)
@@ -573,7 +545,7 @@ def cmd_correlate(args, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_simulate(args, config: PipelineConfig) -> int:
+def cmd_simulate(args, config: Config) -> int:
     with open(args.manifest, "rb") as fh:
         manifest = empd.parse_xml(fh.read())
     trace = stream_sim.load_trace(args.trace)
@@ -585,7 +557,7 @@ def cmd_simulate(args, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_serve(args, config: PipelineConfig) -> int:
+def cmd_serve(args, config: Config) -> int:
     handle = stream_sim.serve(args.dir, host=args.host, port=args.port,
                               manifest_name=args.manifest_name)
     # A server started in the background from a script inherits SIGINT
@@ -607,7 +579,7 @@ def cmd_serve(args, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_synth(args, config: PipelineConfig) -> int:
+def cmd_synth(args, config: Config) -> int:
     from . import frame_source
     # synth's options carry the names of a corpus entry's keys.
     [sequence] = frame_source.build_corpus([{
@@ -729,7 +701,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config)
         if args.show_config:
-            print(format_config(config.to_dict()))
+            print(format_config(config))
             return 0
         if not args.command:
             parser.print_help()

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import ChunkCountMismatch, InvariantViolation, MalformedXml
+from .fscheduler import exact_decimal
 
 _MPD_NAMESPACE = "urn:mpeg:dash:schema:mpd:2011"
 
@@ -218,13 +219,9 @@ def _parse_duration(text: Optional[str]) -> Fraction:
     if not (raw.startswith("PT") and raw.endswith("S")):
         raise MalformedXml(f"unsupported duration {text!r}")
     try:
-        # Decimal reads "1e999999999" without expanding it, as Fraction would.
-        seconds = Decimal(raw[2:-1])
-        if seconds and abs(seconds.adjusted()) > 400:
-            raise MalformedXml(f"duration {text!r} does not fit a float")
-        return Fraction(seconds)
-    except (ArithmeticError, ValueError) as exc:
-        raise MalformedXml(f"bad duration {text!r}") from exc
+        return exact_decimal(raw[2:-1])
+    except ValueError as exc:
+        raise MalformedXml(f"bad duration {text!r}: {exc}") from None
 
 
 def _parse_representation(node: ET.Element, fallback_id: str) -> Representation:

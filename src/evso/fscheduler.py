@@ -8,8 +8,8 @@ over its diff magnitudes plus a small variance bonus.
 
 This module is the numpy-free bottom of the package: it also defines the
 records the other stages share (frame rates, frame geometry, per-pair
-diffs) and the similarity config, so a saved analysis can be scheduled and
-the whole configuration loaded without numpy.
+diffs) and the one `Config` of every tunable, so a saved analysis can be
+scheduled and the whole configuration loaded without numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
@@ -28,6 +30,34 @@ from .errors import ChunkTooSmall, WindowOutOfRange
 MACROBLOCK_EDGE = 16
 
 FpsLike = Union[int, float, str, Fraction]
+
+#: A decimal numeral as Fraction reads one: an optional sign, digits that
+#: single underscores may group, an optional point and fraction, and an
+#: optional exponent. Decimal alone would also take "inf", "nan" and "1_".
+_DECIMAL_NUMERAL = re.compile(
+    r"\s*[-+]?(?=\.?\d)(\d+(_\d+)*)?(\.(\d+(_\d+)*)?)?(e[-+]?\d+(_\d+)*)?\s*",
+    re.IGNORECASE)
+
+
+def exact_decimal(text: str) -> Fraction:
+    """The exact value of a decimal numeral such as "29.97" or "2.5E+1".
+
+    Fraction(text) gives the same value but expands the exponent into an
+    integer of that many digits: "1e-9999999" takes seconds, and a 13-digit
+    exponent hours. Decimal keeps the exponent as written, so a nonzero value
+    beyond 10**±400, which no float holds, raises ValueError at once, as
+    does any other text.
+    """
+    if not _DECIMAL_NUMERAL.fullmatch(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    try:
+        value = Decimal(text)
+        fits = not value or abs(value.adjusted()) <= 400
+    except ArithmeticError:  # an exponent beyond even Decimal's range
+        fits = False
+    if not fits:
+        raise ValueError(f"{text!r} does not fit a float")
+    return Fraction(value)
 
 
 def as_fps(value: FpsLike) -> Fraction:
@@ -50,7 +80,7 @@ def as_fps(value: FpsLike) -> Fraction:
                 raise ValueError(f"frame rate {value!r} has a zero denominator")
             fps = Fraction(num, den)
         else:
-            fps = Fraction(text)
+            fps = exact_decimal(text)
     else:
         raise TypeError(f"cannot interpret {value!r} as a frame rate")
     # Rates are also used as floats: 10**400 would overflow, 10**-400 read 0.
@@ -163,150 +193,41 @@ PROFILE_FACTORS = {
 }
 
 
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """Tunables for the macroblock difference measure in `similarity`."""
-
-    #: Per-macroblock SAD threshold: a block is "changed" only strictly above it.
-    theta: int = 320
-
-    def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """Chunk split thresholds.
-
-    The rolling window at frame n covers the K-1 pair diffs for frames
-    n-K+1 .. n, ending with the pair (n-1, n) under test. Its mean divides
-    that K-1-term sum by K; the standard deviation divides by K-1.
-    """
-
-    alpha: float = 3000
-    beta: float = 15000
-    k_window: int = 10
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k_window, numbers.Integral):
-            raise TypeError(f"k_window must be an integer, got {self.k_window!r}")
-        if self.k_window < 2:
-            raise ValueError(f"k_window must be >= 2, got {self.k_window}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-
-
-class ChunkRange(NamedTuple):
-    """Frame index range [start, end) of one chunk."""
-
-    start: int
-    end: int
-
-    @property
-    def frame_count(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    """Contiguous chunk ranges covering one sequence exactly."""
-
-    chunks: Tuple[ChunkRange, ...]
-    frame_count: int
-    fps: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fps", as_fps(self.fps))
-        chunks = tuple(ChunkRange(*c) for c in self.chunks)
-        object.__setattr__(self, "chunks", chunks)
-        if not chunks:
-            raise ValueError("a plan needs at least one chunk")
-        if chunks[0].start != 0 or chunks[-1].end != self.frame_count:
-            raise ValueError("chunks do not span [0, frame_count)")
-        for prev, cur in zip(chunks, chunks[1:]):
-            if cur.start != prev.end:
-                raise ValueError("chunks are not contiguous")
-        for c in chunks:
-            if c.end <= c.start:
-                raise ChunkTooSmall(f"chunk {c} is empty")
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    def __iter__(self):
-        return iter(self.chunks)
-
-
-def rolling_stats(m_diffs: Sequence[int], n: int,
-                  config: Optional[SplitConfig] = None) -> Tuple[float, float]:
-    """Window mean and standard deviation at frame n.
-
-    The window is m_diffs[n-K+1 : n], the K-1 pairs ending with (n-1, n).
-    Raises WindowOutOfRange unless K <= n <= len(m_diffs).
-    """
-    cfg = config or SplitConfig()
-    k = cfg.k_window
-    if n < k or n > len(m_diffs):
-        raise WindowOutOfRange(
-            f"n={n} outside [{k}, {len(m_diffs)}] for window size {k}"
-        )
-    window = m_diffs[n - k + 1:n]
-    mean = sum(window) / k
-    var = sum((d - mean) ** 2 for d in window) / (k - 1)
-    return mean, math.sqrt(var)
-
-
-def est(series: DiffSeries, n: int, chunk_start: int, gamma: Fraction,
-        config: Optional[SplitConfig] = None) -> bool:
-    """Split decision at frame n for a chunk opened at chunk_start.
-
-    True when the window deviation exceeds alpha or the pair diff (n-1, n)
-    exceeds beta, and the chunk already holds strictly more than gamma
-    frames. All three comparisons are strict.
-    """
-    cfg = config or SplitConfig()
-    _, sigma = rolling_stats(series.m_diffs, n, cfg)
-    spike = series.m_diffs[n - 1] > cfg.beta
-    if not (sigma > cfg.alpha or spike):
-        return False
-    return n - chunk_start > gamma
-
-
-def split(series: DiffSeries, gamma: Optional[FpsLike] = None,
-          config: Optional[SplitConfig] = None) -> ChunkPlan:
-    """Partition a sequence into chunks at detected motion transitions.
-
-    Every split opens a new chunk at the triggering frame; the final chunk
-    absorbs whatever remains, so it alone may be gamma frames or shorter.
-    gamma defaults to the nominal frame rate (chunks of at least a second).
-    """
-    cfg = config or SplitConfig()
-    gamma = series.fps if gamma is None else as_fps(gamma)
-    starts = [0]
-    for n in range(cfg.k_window, series.frame_count):
-        if est(series, n, starts[-1], gamma, cfg):
-            starts.append(n)
-    bounds = starts + [series.frame_count]
-    chunks = tuple(ChunkRange(a, b) for a, b in zip(bounds, bounds[1:]))
-    return ChunkPlan(chunks=chunks, frame_count=series.frame_count,
-                     fps=series.fps)
-
-
 def default_profiles() -> Dict[str, Tuple[float, ...]]:
     return dict(PROFILE_FACTORS)
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    """Band boundaries, deviation bonus and each profile's five factors."""
+class Config:
+    """Every tunable of the method, in the order of the config document.
 
+    A macroblock is "changed" only when its SAD is strictly above theta.
+    A chunk ends where the rolling window's deviation exceeds alpha or the
+    pair diff exceeds beta: the window at frame n covers the K-1 pair diffs
+    for frames n-K+1 .. n (K is k_window), ending with the pair (n-1, n)
+    under test; its mean divides their sum by K, its standard deviation by
+    K-1. A chunk's rate comes from the band boundaries taus, the deviation
+    bonus delta and each profile's five factors.
+    """
+
+    theta: int = 320
+    alpha: float = 3000
+    beta: float = 15000
+    k_window: int = 10
     taus: Tuple[int, ...] = DEFAULT_TAUS
     delta: float = 0.0001
     profiles: Dict[str, Tuple[float, ...]] = field(
         default_factory=default_profiles)
 
     def __post_init__(self) -> None:
+        if self.theta < 0:
+            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if not isinstance(self.k_window, numbers.Integral):
+            raise TypeError(f"k_window must be an integer, got {self.k_window!r}")
+        if self.k_window < 2:
+            raise ValueError(f"k_window must be >= 2, got {self.k_window}")
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError("alpha and beta must be >= 0")
         profiles = {name: tuple(f) for name, f in self.profiles.items()}
         object.__setattr__(self, "profiles", profiles)
         for name, factors in profiles.items():
@@ -324,6 +245,69 @@ class ScheduleConfig:
             raise ValueError("band boundaries must be positive and increasing")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
+
+
+class ChunkRange(NamedTuple):
+    """Frame index range [start, end) of one chunk."""
+
+    start: int
+    end: int
+
+    @property
+    def frame_count(self) -> int:
+        return self.end - self.start
+
+
+def rolling_stats(m_diffs: Sequence[int], n: int,
+                  config: Optional[Config] = None) -> Tuple[float, float]:
+    """Window mean and standard deviation at frame n.
+
+    The window is m_diffs[n-K+1 : n], the K-1 pairs ending with (n-1, n).
+    Raises WindowOutOfRange unless K <= n <= len(m_diffs).
+    """
+    k = (config or Config()).k_window
+    if n < k or n > len(m_diffs):
+        raise WindowOutOfRange(
+            f"n={n} outside [{k}, {len(m_diffs)}] for window size {k}"
+        )
+    window = m_diffs[n - k + 1:n]
+    mean = sum(window) / k
+    var = sum((d - mean) ** 2 for d in window) / (k - 1)
+    return mean, math.sqrt(var)
+
+
+def est(series: DiffSeries, n: int, chunk_start: int, gamma: Fraction,
+        config: Optional[Config] = None) -> bool:
+    """Split decision at frame n for a chunk opened at chunk_start.
+
+    True when the window deviation exceeds alpha or the pair diff (n-1, n)
+    exceeds beta, and the chunk already holds strictly more than gamma
+    frames. All three comparisons are strict.
+    """
+    cfg = config or Config()
+    _, sigma = rolling_stats(series.m_diffs, n, cfg)
+    spike = series.m_diffs[n - 1] > cfg.beta
+    if not (sigma > cfg.alpha or spike):
+        return False
+    return n - chunk_start > gamma
+
+
+def split(series: DiffSeries, gamma: Optional[FpsLike] = None,
+          config: Optional[Config] = None) -> Tuple[ChunkRange, ...]:
+    """Partition a sequence into contiguous chunks at motion transitions.
+
+    Every split opens a new chunk at the triggering frame; the final chunk
+    absorbs whatever remains, so it alone may be gamma frames or shorter.
+    gamma defaults to the nominal frame rate (chunks of at least a second).
+    """
+    cfg = config or Config()
+    gamma = series.fps if gamma is None else as_fps(gamma)
+    starts = [0]
+    for n in range(cfg.k_window, series.frame_count):
+        if est(series, n, starts[-1], gamma, cfg):
+            starts.append(n)
+    bounds = starts + [series.frame_count]
+    return tuple(ChunkRange(a, b) for a, b in zip(bounds, bounds[1:]))
 
 
 def epf(d: int, factors: Sequence[float], gamma: Fraction,
@@ -353,13 +337,13 @@ def chunk_sigma(series: DiffSeries, chunk: ChunkRange) -> float:
 
 
 def evf(series: DiffSeries, chunk: ChunkRange, factors: Sequence[float],
-        gamma: Fraction, config: Optional[ScheduleConfig] = None) -> float:
+        gamma: Fraction, config: Optional[Config] = None) -> float:
     """Chunk target rate: mean per-pair rate plus a small deviation bonus.
 
     The result is clamped to at most the playback rate; it is always
     positive because every band factor is.
     """
-    cfg = config or ScheduleConfig()
+    cfg = config or Config()
     sigma = chunk_sigma(series, chunk)  # raises ChunkTooSmall on a pairless chunk
     values = series.m_diffs[chunk.start:chunk.end - 1]
     mean_rate = sum(epf(d, factors, gamma, cfg.taus) for d in values) / len(values)
@@ -376,7 +360,7 @@ class ChunkScheduleEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RateSchedule:
-    """Chunk plan plus target rates for every profile."""
+    """Chunks that tile [0, frame_count), each with its target rates."""
 
     entries: Tuple[ChunkScheduleEntry, ...]
     frame_count: int
@@ -386,14 +370,17 @@ class RateSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fps", as_fps(self.fps))
         object.__setattr__(self, "gamma", as_fps(self.gamma))
-        self.plan  # a plan refuses ranges that do not tile the clip
-
-    @property
-    def plan(self) -> ChunkPlan:
-        return ChunkPlan(
-            chunks=tuple(e.range for e in self.entries),
-            frame_count=self.frame_count, fps=self.fps,
-        )
+        chunks = [ChunkRange(*e.range) for e in self.entries]
+        if not chunks:
+            raise ValueError("a plan needs at least one chunk")
+        if chunks[0].start != 0 or chunks[-1].end != self.frame_count:
+            raise ValueError("chunks do not span [0, frame_count)")
+        for prev, cur in zip(chunks, chunks[1:]):
+            if cur.start != prev.end:
+                raise ValueError("chunks are not contiguous")
+        for c in chunks:
+            if c.end <= c.start:
+                raise ChunkTooSmall(f"chunk {c} is empty")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -403,19 +390,17 @@ class RateSchedule:
 
 
 def schedule(series: DiffSeries, gamma: Optional[FpsLike] = None,
-             split_config: Optional[SplitConfig] = None,
-             schedule_config: Optional[ScheduleConfig] = None) -> RateSchedule:
+             config: Optional[Config] = None) -> RateSchedule:
     """Split a diff series and rate every chunk under every profile.
 
     A one-frame chunk (split may cut at the last frame) holds no pair of its
     own; it is rated from the pair entering it, (start-1, start), so its
     sigma is 0.0.
     """
-    cfg = schedule_config or ScheduleConfig()
+    cfg = config or Config()
     gamma = series.fps if gamma is None else as_fps(gamma)
-    plan = split(series, gamma=gamma, config=split_config)
     entries = []
-    for chunk in plan:
+    for chunk in split(series, gamma=gamma, config=cfg):
         rated = (chunk if chunk.frame_count > 1
                  else ChunkRange(chunk.start - 1, chunk.end))
         rates = {

@@ -22,7 +22,7 @@ from .errors import (
     TooFewFrames,
 )
 from .frame_source import FrameSequence, FrameStream
-from .fscheduler import MACROBLOCK_EDGE, DiffSeries, PairDiff, SimilarityConfig
+from .fscheduler import MACROBLOCK_EDGE, Config, DiffSeries, PairDiff
 
 #: Linear model mapping a per-pair changed-macroblock count to expected SSIM.
 REGRESSION_INTERCEPT = 1.0063
@@ -54,9 +54,9 @@ def sad_y_macroblock(a: np.ndarray, b: np.ndarray,
 
 
 def d_y(a: np.ndarray, b: np.ndarray, mb_row: int, mb_col: int,
-        config: Optional[SimilarityConfig] = None) -> int:
+        config: Optional[Config] = None) -> int:
     """1 when the macroblock SAD strictly exceeds theta, else 0."""
-    theta = (config or SimilarityConfig()).theta
+    theta = (config or Config()).theta
     return 1 if sad_y_macroblock(a, b, mb_row, mb_col) > theta else 0
 
 
@@ -97,13 +97,13 @@ def _measure_pair(a: np.ndarray, b: np.ndarray, theta: int,
 
 
 def m_diff(a: np.ndarray, b: np.ndarray,
-           config: Optional[SimilarityConfig] = None) -> int:
+           config: Optional[Config] = None) -> int:
     """Count of changed macroblocks between two uint8 planes.
 
     Only full 16x16 blocks participate; partial rows/columns at the right and
     bottom edges are ignored. Equality with theta does not count as changed.
     """
-    return _measure_pair(a, b, (config or SimilarityConfig()).theta)[0]
+    return _measure_pair(a, b, (config or Config()).theta)[0]
 
 
 def y_diff(a: np.ndarray, b: np.ndarray) -> int:
@@ -181,18 +181,18 @@ def ssim(a: np.ndarray, b: np.ndarray, work: Optional[tuple] = None) -> float:
 
 
 def diff_series(clip: Union[FrameSequence, FrameStream],
-                config: Optional[SimilarityConfig] = None,
+                config: Optional[Config] = None,
                 with_ssim: bool = False) -> DiffSeries:
     """Measure every adjacent pair of a clip as its second frame arrives:
     the clip is iterated once, and only the pair at hand is held."""
-    cfg = config or SimilarityConfig()
+    theta = (config or Config()).theta
     frames = iter(clip)
     a = next(frames, None)
     bands = None if a is None else np.empty((2, _BAND_ROWS, a.shape[1]), np.uint8)
     work = ssim_work(a.shape) if with_ssim and a is not None else None
     pairs = []
     for b in frames:
-        changed, sad = _measure_pair(a, b, cfg.theta, bands)
+        changed, sad = _measure_pair(a, b, theta, bands)
         pairs.append(PairDiff(m_diff=changed, y_diff=sad,
                               ssim=ssim(a, b, work) if with_ssim else None))
         a = b

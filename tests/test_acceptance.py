@@ -51,7 +51,7 @@ def _verdict(number, description):
 def test_criterion_01_m_diff_matches_blockwise_reference():
     with _verdict(1, "m_diff equals per-block SAD threshold count"):
         rng = np.random.Generator(np.random.PCG64(20240814))
-        cfg = similarity.SimilarityConfig()
+        cfg = fscheduler.Config()
         start = time.perf_counter()
         for _ in range(100):
             a = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
@@ -148,7 +148,7 @@ def _random_m_diffs(rnd, grid, count):
 def test_criterion_04_split_invariants_randomized():
     with _verdict(4, "split partitions exactly and every cut is justified"):
         rnd = random.Random(0xE5)
-        cfg = fscheduler.SplitConfig()
+        cfg = fscheduler.Config()
         dims_pool = [FrameDims(640, 480), FrameDims(1600, 1024),
                      FrameDims(2560, 1600)]
         gammas = [Fraction(10), Fraction(24), Fraction(30),
@@ -163,20 +163,20 @@ def test_criterion_04_split_invariants_randomized():
             series = DiffSeries.from_m_diffs(diffs, dims, 30)
             plan = fscheduler.split(series, gamma=gamma, config=cfg)
 
-            bounds = [c.start for c in plan] + [plan.chunks[-1].end]
+            bounds = [c.start for c in plan] + [plan[-1].end]
             assert bounds == _reference_split(
                 diffs, series.frame_count, gamma, cfg.alpha, cfg.beta)
 
             # exact cover, contiguity, and minimum length for non-final chunks
-            assert plan.chunks[0].start == 0
-            assert plan.chunks[-1].end == series.frame_count
-            for prev, cur in zip(plan.chunks, plan.chunks[1:]):
+            assert plan[0].start == 0
+            assert plan[-1].end == series.frame_count
+            for prev, cur in zip(plan, plan[1:]):
                 assert cur.start == prev.end
-            for chunk in plan.chunks[:-1]:
+            for chunk in plan[:-1]:
                 assert Fraction(chunk.frame_count) > gamma
 
             # soundness and completeness of every cut decision
-            split_points = {c.start for c in plan.chunks[1:]}
+            split_points = {c.start for c in plan[1:]}
             chunk_start = 0
             for n in range(cfg.k_window, series.frame_count):
                 eligible = Fraction(n - chunk_start) > gamma

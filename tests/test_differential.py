@@ -18,7 +18,8 @@ import pytest
 
 from evso import cli
 from evso.frame_source import read_y4m
-from evso.similarity import SimilarityConfig, m_diff, sad_y_macroblock, y_diff
+from evso.fscheduler import Config
+from evso.similarity import m_diff, sad_y_macroblock, y_diff
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("perfbench_checks",
@@ -106,7 +107,7 @@ def test_analyze_matches_the_oracle_on_seeded_clips(tmp_path, seed, width,
         assert y_diff(a, b) == checks.y_diff_ref(a, b)
         for limit in (0, 65_279, 65_280):
             expected = sum(sad > limit for sad in sads)
-            assert m_diff(a, b, SimilarityConfig(theta=limit)) == expected
+            assert m_diff(a, b, Config(theta=limit)) == expected
 
 
 def _grid_config(width, height):

@@ -171,6 +171,9 @@ def test_parse_malformed_documents():
     ("PT1S", 'bandwidth="-5"'),
     ("PT1S", 'bandwidth="9" width="q"'),
     ("PT-5S", 'bandwidth="9"'),
+    ("PT1_S", 'bandwidth="9"'),
+    ("PTnanS", 'bandwidth="9"'),
+    ("PT1e-9999999999999S", 'bandwidth="9"'),
 ])
 def test_parse_rejects_bad_values_as_malformed_xml(duration, attrs):
     xml = f"""<MPD><Period duration="{duration}">

@@ -8,13 +8,13 @@ import pytest
 
 from evso.errors import ChunkTooSmall, WindowOutOfRange
 from evso.fscheduler import (
-    ChunkPlan,
     ChunkRange,
+    ChunkScheduleEntry,
+    Config,
     DiffSeries,
     FrameDims,
     PairDiff,
-    ScheduleConfig,
-    SplitConfig,
+    RateSchedule,
     as_fps,
     chunk_sigma,
     default_profiles,
@@ -52,6 +52,21 @@ def test_as_fps_rejects_rates_no_float_holds():
     assert as_fps(Fraction(10 ** 300)) == 10 ** 300
 
 
+def test_as_fps_bounds_a_decimal_exponent_before_expanding_it():
+    start = time.perf_counter()
+    for huge in ("1e-9999999999999", "1e9999999999999", "1e99999999999999999999"):
+        with pytest.raises(ValueError, match="fit a float"):
+            as_fps(huge)
+    assert time.perf_counter() - start < 0.5
+    for text, rate in (("29.97", Fraction(2997, 100)), (" 25 ", 25),
+                       ("2.5E+1", 25), ("1_0", 10), (".5", Fraction(1, 2)),
+                       ("30000/1001", Fraction(30000, 1001))):
+        assert as_fps(text) == rate and type(as_fps(text)) is Fraction
+    for bad in ("inf", "nan", "1_", "_1", "1__0", "1._5", "1e", "0e-99999999"):
+        with pytest.raises(ValueError):
+            as_fps(bad)
+
+
 def test_split_and_schedule_take_gamma_as_any_rate_as_fps_accepts():
     series = _series([0] * 40)
     for run in (split, schedule):
@@ -63,9 +78,7 @@ def test_split_and_schedule_take_gamma_as_any_rate_as_fps_accepts():
             run(series, gamma=0)
     assert schedule(series, gamma=29.97).gamma == Fraction(2997, 100)
     assert schedule(series, gamma="25").gamma == Fraction(25)
-    assert split(series, gamma="30000/1001").chunks == (ChunkRange(0, 41),)
-    plan = ChunkPlan(chunks=(ChunkRange(0, 10),), frame_count=10, fps="30")
-    assert plan.fps == Fraction(30) and type(plan.fps) is Fraction
+    assert split(series, gamma="30000/1001") == (ChunkRange(0, 41),)
 
 
 def test_rolling_stats_all_equal_window():
@@ -119,7 +132,7 @@ def test_split_transition_fixture_cuts_at_traced_frames():
 
 def test_split_beta_spike_triggers_cut():
     # isolate the spike clause by raising alpha out of reach
-    cfg = SplitConfig(alpha=10 ** 9)
+    cfg = Config(alpha=10 ** 9)
     diffs = [0] * 200
     diffs[59] = 15001  # pair (59, 60) strictly above beta
     plan = split(_series(diffs, dims=BIG), gamma=Fraction(30), config=cfg)
@@ -131,7 +144,7 @@ def test_split_beta_spike_triggers_cut():
 
 
 def test_split_spike_inside_minimum_length_is_suppressed():
-    cfg = SplitConfig(alpha=10 ** 9)
+    cfg = Config(alpha=10 ** 9)
     diffs = [0] * 200
     diffs[19] = 15001  # would cut at frame 20, but T=20 is not > 30
     plan = split(_series(diffs, dims=BIG), gamma=Fraction(30), config=cfg)
@@ -155,15 +168,22 @@ def test_split_time_is_linear_in_series_length():
     assert [c.start for c in plan][1:] == list(range(98, 20001, 97))
 
 
-def test_chunk_plan_validation():
-    with pytest.raises(ValueError):
-        ChunkPlan(chunks=(ChunkRange(0, 5), ChunkRange(6, 10)),
-                  frame_count=10, fps=Fraction(30))
-    with pytest.raises(ValueError):
-        ChunkPlan(chunks=(ChunkRange(0, 5),), frame_count=10, fps=Fraction(30))
-    with pytest.raises(ChunkTooSmall):
-        ChunkPlan(chunks=(ChunkRange(0, 0), ChunkRange(0, 10)),
-                  frame_count=10, fps=Fraction(30))
+def _rated(*ranges):
+    return tuple(ChunkScheduleEntry(range=ChunkRange(*r), sigma=0.0,
+                                    rates={"evso": 15.0}) for r in ranges)
+
+
+def test_rate_schedule_refuses_chunks_that_do_not_tile_the_clip():
+    with pytest.raises(ValueError, match="not contiguous"):
+        RateSchedule(entries=_rated((0, 5), (6, 10)), frame_count=10,
+                     fps=30, gamma=30)
+    with pytest.raises(ValueError, match="do not span"):
+        RateSchedule(entries=_rated((0, 5)), frame_count=10, fps=30, gamma=30)
+    with pytest.raises(ChunkTooSmall, match="is empty"):
+        RateSchedule(entries=_rated((0, 0), (0, 10)), frame_count=10,
+                     fps=30, gamma=30)
+    with pytest.raises(ValueError, match="at least one chunk"):
+        RateSchedule(entries=(), frame_count=10, fps=30, gamma=30)
 
 
 def test_epf_band_boundaries_are_inclusive_below():
@@ -234,25 +254,25 @@ def test_evf_adds_scaled_deviation():
 
 
 def test_rate_profile_validation():
-    ok = ScheduleConfig(profiles={"ok": [0.4, 0.5, 0.6, 0.7, 1]})
+    ok = Config(profiles={"ok": [0.4, 0.5, 0.6, 0.7, 1]})
     assert ok.profiles == {"ok": (0.4, 0.5, 0.6, 0.7, 1)}
     with pytest.raises(ValueError, match="profile short: need 5 factors"):
-        ScheduleConfig(profiles={"short": (0.5, 0.6, 0.7, 1)})
+        Config(profiles={"short": (0.5, 0.6, 0.7, 1)})
     with pytest.raises(ValueError, match="profile drops: factors must not"):
-        ScheduleConfig(profiles={"drops": (0.5, 0.4, 0.6, 0.7, 1)})
+        Config(profiles={"drops": (0.5, 0.4, 0.6, 0.7, 1)})
     with pytest.raises(ValueError, match="profile big: factors outside"):
-        ScheduleConfig(profiles={"big": (0.5, 0.6, 0.7, 0.8, 1.1)})
+        Config(profiles={"big": (0.5, 0.6, 0.7, 0.8, 1.1)})
     with pytest.raises(ValueError, match="profile zero: factors outside"):
-        ScheduleConfig(profiles={"zero": (0, 0.6, 0.7, 0.8, 1)})
+        Config(profiles={"zero": (0, 0.6, 0.7, 0.8, 1)})
 
 
 def test_schedule_config_validation():
     with pytest.raises(ValueError):
-        ScheduleConfig(taus=(500, 1500, 3000))
+        Config(taus=(500, 1500, 3000))
     with pytest.raises(ValueError):
-        ScheduleConfig(taus=(500, 400, 3000, 6000))
+        Config(taus=(500, 400, 3000, 6000))
     with pytest.raises(ValueError):
-        ScheduleConfig(delta=-0.1)
+        Config(delta=-0.1)
 
 
 def test_schedule_static_clip_rates():
@@ -264,7 +284,24 @@ def test_schedule_static_clip_rates():
     assert entry.rates["evso"] == pytest.approx(18.0, abs=1e-9)
     assert entry.rates["evso_plus"] == pytest.approx(15.0, abs=1e-9)
     assert entry.rates["evso_plus_plus"] == pytest.approx(12.9, abs=1e-9)
-    assert sched.plan.chunks == (ChunkRange(0, 300),)
+
+
+def test_one_config_sets_both_the_cuts_and_the_rates():
+    series = _series([0] * 49 + [6400] * 51 + [0] * 49)
+    assert [tuple(e.range) for e in schedule(series)] == [
+        (0, 52), (52, 103), (103, 150)]
+    assert [tuple(e.range) for e in schedule(series, config=Config(
+        k_window=40))] == [(0, 62), (62, 113), (113, 150)]
+    # Cuts only on pairs above beta; 6400 falls in the fourth band.
+    cfg = Config(alpha=10 ** 9, beta=6399, taus=(1, 2, 3, 6401), delta=0.001,
+                 profiles={"evso": (0.5, 0.6, 0.7, 0.8, 0.9)})
+    sched = schedule(series, config=cfg)
+    assert [tuple(e.range) for e in sched] == [(0, 50), (50, 81), (81, 150)]
+    last = [6400] * 19 + [0] * 49
+    assert [e.rates for e in sched] == [
+        {"evso": 15.0}, {"evso": 24.0},
+        {"evso": pytest.approx((19 * 24.0 + 49 * 15.0) / 68
+                               + 0.001 * statistics.stdev(last), rel=1e-12)}]
 
 
 def test_schedule_transition_fixture_rates_capped():

@@ -20,11 +20,10 @@ from evso.frame_source import (
     synth_noise,
     synth_static,
 )
-from evso.fscheduler import schedule
+from evso.fscheduler import Config, schedule
 from evso.similarity import (
     DiffSeries,
     PairDiff,
-    SimilarityConfig,
     d_y,
     diff_series,
     linear_fit,
@@ -70,9 +69,19 @@ def test_changed_block_threshold_is_strict():
     assert m_diff(a, b) == 1
 
 
+def test_diff_series_with_theta_0_counts_every_changed_block():
+    a = np.zeros((64, 64), np.uint8)
+    b = a.copy()
+    b[0, 0] = b[20, 40] = 1
+    b[63, 63] = 255
+    clip = FrameSequence(frames=[a, b], fps=30)
+    assert diff_series(clip, Config(theta=0)).pairs == (PairDiff(3, 257),)
+    assert diff_series(clip).pairs == (PairDiff(0, 257),)
+
+
 def test_m_diff_matches_per_block_loop_on_random_frames():
     rng = np.random.Generator(np.random.PCG64(2024))
-    cfg = SimilarityConfig()
+    cfg = Config()
     for _ in range(20):
         a = rng.integers(0, 256, size=(48, 48), dtype=np.uint8)
         b = a.copy()
@@ -334,7 +343,7 @@ def test_pair_kernel_matches_int64_reference():
         assert not seq[0].flags.writeable
         assert not seq[0].flags.c_contiguous
         for theta in (0, 320, 65_280):
-            cfg = SimilarityConfig(theta=theta)
+            cfg = Config(theta=theta)
             ref_m = sum(sad > theta for sad in block_sads)
             assert m_diff(a, b, cfg) == ref_m, (name, theta)
             assert diff_series(seq, cfg).pairs == (PairDiff(ref_m, ref_y),)
@@ -344,10 +353,10 @@ def test_pair_kernel_extreme_and_edge_cases():
     cases = _kernel_cases()
     black, white = cases["black-white"]
     assert sad_y_macroblock(black, white, 2, 1) == 65_280
-    assert m_diff(black, white, SimilarityConfig(theta=65_279)) == 6
-    assert m_diff(black, white, SimilarityConfig(theta=65_280)) == 0
+    assert m_diff(black, white, Config(theta=65_279)) == 6
+    assert m_diff(black, white, Config(theta=65_280)) == 0
     a, b = cases["edges-only"]
-    assert m_diff(a, b, SimilarityConfig(theta=0)) == 0
+    assert m_diff(a, b, Config(theta=0)) == 0
     assert y_diff(a, b) == (40 * 50 - 32 * 48) * 255
     assert m_diff(*cases["theta-320"]) == 1
 

@@ -149,9 +149,6 @@ def _parse_dims(text: str) -> FrameDims:
 def _load_video(args) -> FrameSequence:
     """Every luma plane of the input, for stages that index frames."""
     from . import frame_source
-    if args.input.lower().endswith(".y4m"):
-        with open(args.input, "rb") as fh:
-            return frame_source.read_y4m(fh)
     with _open_video(args) as clip:
         return frame_source.FrameSequence(frames=clip, fps=clip.fps)
 
@@ -311,20 +308,19 @@ def cmd_schedule(args, config: Config) -> int:
 _FLAT_SHARES = {"baseline": Fraction(1), "two_thirds": Fraction(2, 3)}
 
 
-def _flat(sequence: FrameSequence, label: str) -> vprocessor.ProcessedVideo:
+def _variant(sequence: FrameSequence, label: str,
+             sched: Optional[fscheduler.RateSchedule]) -> vprocessor.ProcessedVideo:
+    """The variant a profile or flat share names. A profile is retimed under
+    sched. A flat share decimates the whole clip, cut at sched's chunks when
+    sched is given and kept as one chunk when it is not."""
     from . import vprocessor
-    return vprocessor.decimate_uniform(
+    if label not in _FLAT_SHARES:
+        return vprocessor.process(sequence, sched, label)
+    video = vprocessor.decimate_uniform(
         sequence, sequence.fps * _FLAT_SHARES[label], label)
-
-
-def _processed_for_profile(sequence: FrameSequence, args,
-                           config: Config) -> vprocessor.ProcessedVideo:
-    from . import similarity, vprocessor
-    if args.profile in _FLAT_SHARES:
-        return _flat(sequence, args.profile)
-    series = similarity.diff_series(sequence, config)
-    return vprocessor.process(sequence, _schedule(series, args, config),
-                              args.profile)
+    if sched is None:
+        return video
+    return vprocessor.restrict_to_chunks(video, tuple(e.range for e in sched))
 
 
 def _chunk_files(directory: str) -> List[str]:
@@ -352,9 +348,11 @@ def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
 
 
 def cmd_process(args, config: Config) -> int:
-    from . import vprocessor
+    from . import similarity, vprocessor
     sequence = _load_video(args)
-    video = _processed_for_profile(sequence, args, config)
+    sched = None if args.profile in _FLAT_SHARES else _schedule(
+        similarity.diff_series(sequence, config), args, config)
+    video = _variant(sequence, args.profile, sched)
     if args.mode == "hold":
         _write_bytes(args.out, vprocessor.hold_stream(video, sequence))
         written = [args.out]
@@ -414,21 +412,17 @@ def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dic
     Returns the chunk count and each level's bandwidth.
     """
     from . import similarity, vprocessor
-    series = similarity.diff_series(sequence, config)
-    sched = _schedule(series, args, config)
-    ranges = tuple(entry.range for entry in sched)
+    sched = _schedule(similarity.diff_series(sequence, config), args, config)
 
-    # Levels in order, then the flat shares no level plays.
-    profiles = {level.value: empd.PROFILE_FOR_LEVEL[level]
-                for level in EvsoLevel}
+    # Levels in order, each with the profile or flat share that makes it,
+    # then the flat shares no level plays.
+    levels = {level.value: empd.PROFILE_FOR_LEVEL[level] or level.value
+              for level in EvsoLevel}
     report: Dict[str, dict] = {}
     memo: Dict[Tuple[int, int], float] = {}  # variants share held frames
-    for label in dict.fromkeys([*profiles, *_FLAT_SHARES]):
-        if label in _FLAT_SHARES:
-            video = vprocessor.restrict_to_chunks(_flat(sequence, label), ranges)
-        else:
-            video = vprocessor.process(sequence, sched, profiles[label])
-        if label in profiles:
+    for label in dict.fromkeys([*levels, *_FLAT_SHARES]):
+        video = _variant(sequence, levels.get(label, label), sched)
+        if label in levels:
             _write_segments(os.path.join(root, "segments", label), video,
                             sequence, staged=True)
         quality = vprocessor.quality_report(video, sequence, memo)
@@ -447,11 +441,11 @@ def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dic
         "frame_count": len(sequence),
         "fps": str(sequence.fps),
         "duration_seconds": float(sequence.duration_seconds),
-        "chunks": len(ranges),
+        "chunks": len(sched.entries),
         "levels": report,
     }).encode())
     return {
-        "chunks": len(ranges),
+        "chunks": len(sched.entries),
         "levels": {aset.evso_level.value: aset.representations[0].bandwidth
                    for aset in manifest.video_sets()},
     }

@@ -10,7 +10,6 @@ from __future__ import annotations
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -163,19 +162,16 @@ def build_manifest(chunk_count: int, duration_seconds: Union[Fraction, int],
 
 
 def _fmt_seconds(seconds: Fraction) -> str:
-    """Decimal text for a duration; exact whenever the expansion terminates."""
-    den = seconds.denominator
-    for prime in (2, 5):
-        while den % prime == 0:
-            den //= prime
-    if den == 1:
-        text = format(
-            Decimal(seconds.numerator) / Decimal(seconds.denominator), "f"
-        )
-        if "." in text:
-            text = text.rstrip("0").rstrip(".")
-        return text or "0"
-    return repr(float(seconds))
+    """Decimal text for a duration; exact whenever the expansion terminates.
+    A denominator 2**a * 5**b needs max(a, b) places, fewer than its bits."""
+    places = seconds.denominator.bit_length()
+    scaled = seconds * 10 ** places
+    if scaled.denominator != 1:
+        return repr(float(seconds))
+    digits = str(abs(scaled.numerator)).rjust(places + 1, "0")
+    fraction = digits[-places:].rstrip("0")
+    return (("-" if seconds < 0 else "") + digits[:-places]
+            + ("." + fraction if fraction else ""))
 
 
 def serialize_xml(manifest: EmpdManifest) -> bytes:

@@ -113,12 +113,12 @@ def _chroma_420_bytes(width: int, height: int) -> int:
     return ((width + 1) // 2) * ((height + 1) // 2) * 2
 
 
-def _readline(stream: BinaryIO, limit: int = 1024) -> bytes:
+def _readline(stream: BinaryIO) -> bytes:
     """Read up to a newline; returns b"" at EOF. Never reads past the \\n."""
-    line = stream.readline(limit)
+    line = stream.readline(1024)
     if line.endswith(b"\n"):
         return line[:-1]
-    if len(line) >= limit:
+    if len(line) >= 1024:
         raise MalformedHeader("header line exceeds 1024 bytes")
     return line
 

@@ -65,19 +65,17 @@ def d_y(a: np.ndarray, b: np.ndarray, mb_row: int, mb_col: int,
 _BAND_ROWS = 8 * MACROBLOCK_EDGE
 
 
-def _measure_pair(a: np.ndarray, b: np.ndarray, theta: int,
-                  work: Optional[np.ndarray] = None) -> Tuple[int, int]:
+def _measure_pair(a: np.ndarray, b: np.ndarray, theta: int) -> Tuple[int, int]:
     """(full 16x16 blocks whose SAD exceeds theta, whole-plane SAD) of two
-    uint8 planes. Each band of rows gets its exact |a - b| as max - min in
-    `work`, which a caller measuring many pairs reuses. Strips of 16 rows sum
-    in uint16 (at most 16*255), blocks in int32 (at most 65,280); the SAD
-    adds the edge columns and rows that no full block covers."""
+    uint8 planes. Each band of rows gets its exact |a - b| as max - min in a
+    (2, 128, W) work array made for this pair. Strips of 16 rows sum in
+    uint16 (at most 16*255), blocks in int32 (at most 65,280); the SAD adds
+    the edge columns and rows that no full block covers."""
     _check_same_dims(a, b)
     height, width = a.shape
     cols = width // MACROBLOCK_EDGE
     core_w = cols * MACROBLOCK_EDGE
-    if work is None:
-        work = np.empty((2, _BAND_ROWS, width), np.uint8)
+    work = np.empty((2, _BAND_ROWS, width), np.uint8)
     changed = total = 0
     for r0 in range(0, height, _BAND_ROWS):
         rows = min(_BAND_ROWS, height - r0)
@@ -188,11 +186,10 @@ def diff_series(clip: Union[FrameSequence, FrameStream],
     theta = (config or Config()).theta
     frames = iter(clip)
     a = next(frames, None)
-    bands = None if a is None else np.empty((2, _BAND_ROWS, a.shape[1]), np.uint8)
     work = ssim_work(a.shape) if with_ssim and a is not None else None
     pairs = []
     for b in frames:
-        changed, sad = _measure_pair(a, b, theta, bands)
+        changed, sad = _measure_pair(a, b, theta)
         pairs.append(PairDiff(m_diff=changed, y_diff=sad,
                               ssim=ssim(a, b, work) if with_ssim else None))
         a = b

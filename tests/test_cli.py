@@ -631,6 +631,47 @@ def test_pipeline_tree_is_byte_identical_to_recorded_digests(tmp_path, capsys,
     assert digests == _TREE_SHA256[name]
 
 
+def test_pipeline_on_raw_input_writes_the_tree_of_the_same_y4m(tmp_path,
+                                                               capsys):
+    clip = _synth_clip(tmp_path, count=90)
+    planes = [plane.tobytes() for plane in read_y4m(clip.read_bytes())]
+    yonly, i420 = tmp_path / "clip.yonly", tmp_path / "clip.i420"
+    yonly.write_bytes(b"".join(planes))
+    i420.write_bytes(b"".join(p + bytes([128]) * (48 * 32 * 2) for p in planes))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG))
+    raw = ["--dims", "96x64", "--fps", "30"]
+    capsys.readouterr()
+    trees = []
+    for name, argv in (("y4m", [str(clip)]),
+                       ("yonly", [str(yonly), *raw, "--layout", "YONLY"]),
+                       ("i420", [str(i420), *raw, "--layout", "I420"])):
+        trees.append(tmp_path / name)
+        assert cli.main(["--config", str(cfg), "pipeline", *argv,
+                         str(trees[-1])]) == 0
+        assert json.loads(capsys.readouterr().out)["chunks"] == 3
+    assert _tree_bytes(trees[0]) == _tree_bytes(trees[1]) == _tree_bytes(trees[2])
+
+
+def test_process_writes_the_chunks_pipeline_writes_for_its_level(tmp_path,
+                                                                capsys):
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG))
+    tree = tmp_path / "tree"
+    assert cli.main(["--config", str(cfg), "pipeline", str(clip),
+                     str(tree)]) == 0
+    for level, profile in empd.PROFILE_FOR_LEVEL.items():
+        if profile is None:
+            continue
+        out = tmp_path / profile
+        assert cli.main(["--config", str(cfg), "process", str(clip),
+                         "--profile", profile, "--out", str(out)]) == 0
+        expected = _tree_bytes(tree / "segments" / level.value)
+        assert len(expected) == 3
+        assert _tree_bytes(out) == expected
+
+
 def test_pipeline_writes_chunks_in_place_and_process_through_renames(
         tmp_path, capsys, monkeypatch):
     clip = _synth_clip(tmp_path, count=90)

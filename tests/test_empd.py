@@ -195,3 +195,17 @@ def test_duration_serialization_is_exact_for_terminating_decimals():
         data = serialize_xml(manifest)
         assert b'duration="' + text + b'"' in data
         assert parse_xml(data).periods[0].duration_seconds == seconds
+
+
+@pytest.mark.parametrize("seconds, text", [
+    (Fraction(10 ** 30 + 1, 4), "250000000000000000000000000000.25"),
+    (Fraction(1, 2 ** 100), "0." + str(5 ** 100).rjust(100, "0")),
+], ids=["31-digits", "100-places"])
+def test_duration_serialization_is_exact_beyond_28_digits(seconds, text):
+    manifest = EmpdManifest(periods=(Period(
+        duration_seconds=seconds,
+        adaptation_sets=(AdaptationSet(content_type="video",
+                                       representations=(_rep(),)),)),))
+    data = serialize_xml(manifest)
+    assert f'duration="PT{text}S"'.encode() in data
+    assert parse_xml(data).periods[0].duration_seconds == seconds

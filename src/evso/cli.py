@@ -570,6 +570,7 @@ def cmd_serve(args, config: Config) -> int:
         handle.close()
         for sig, handler in previous.items():
             signal.signal(sig, handler)
+        print("evso serve:", json.dumps(handle.served), file=sys.stderr)
     return 0
 
 

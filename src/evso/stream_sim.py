@@ -14,7 +14,7 @@ import io
 import os
 import threading
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
                     TextIO, Tuple, Union)
@@ -214,13 +214,17 @@ _CONTENT_TYPES = {
 
 @dataclass
 class ServerHandle:
-    """Running file server; close() stops it and joins its thread."""
+    """Running file server; close() stops it, and a kept connection gets no
+    reply after it. served counts connections, GETs, 404s and body bytes."""
 
     host: str
     port: int
     root: str
     _server: ThreadingHTTPServer
     _thread: threading.Thread
+    served: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("connections", "requests", "not_found", "bytes_sent"), 0))
+    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
     def url(self) -> str:
@@ -240,10 +244,12 @@ class ServerHandle:
 
 def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
           port: int = 0, manifest_name: str = "manifest.mpd") -> ServerHandle:
-    """Serve a segment tree read-only over HTTP on a background thread.
+    """Serve a segment tree read-only over HTTP/1.1 on a background thread.
 
     The directory must already contain the manifest. Port 0 binds an
-    ephemeral port; the handle reports the one chosen.
+    ephemeral port; the handle reports the one chosen. Connections persist
+    between requests; a path that is no readable file under the root gets a
+    404.
     """
     # Imported here, so the commands that only read manifests never load it.
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -253,22 +259,42 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
         raise MissingManifest(f"{manifest_name} not found under {root}")
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # every reply carries Content-Length
+        disable_nagle_algorithm = True  # else a body waits on a delayed ACK
+
+        def setup(self) -> None:
+            super().setup()
+            with handle._lock:
+                handle.served["connections"] += 1
+
         def do_GET(self) -> None:  # noqa: N802 (http.server API name)
+            if not handle._thread.is_alive():  # closed: just hang up
+                self.close_connection = True
+                return
             rel = urllib.parse.unquote(urllib.parse.urlparse(self.path).path)
-            full = os.path.realpath(os.path.join(root, rel.lstrip("/")))
-            inside = full == root or full.startswith(root + os.sep)
-            if not inside or not os.path.isfile(full):
+            try:  # realpath raises ValueError on a NUL in the path
+                full = os.path.realpath(os.path.join(root, rel.lstrip("/")))
+                inside = full == root or full.startswith(root + os.sep)
+                fh = open(full, "rb") if inside and os.path.isfile(full) else None
+            except (OSError, ValueError):
+                fh = None
+            with handle._lock:
+                handle.served["requests"] += 1
+                handle.served["not_found"] += fh is None
+            if fh is None:
                 self.send_error(404, "not found")
                 return
-            with open(full, "rb") as fh:
-                data = fh.read()
-            ext = os.path.splitext(full)[1].lower()
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             _CONTENT_TYPES.get(ext, "application/octet-stream"))
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            with fh:
+                size = os.fstat(fh.fileno()).st_size
+                ext = os.path.splitext(full)[1].lower()
+                self.send_response(200)
+                self.send_header("Content-Type",
+                                 _CONTENT_TYPES.get(ext, "application/octet-stream"))
+                self.send_header("Content-Length", str(size))
+                self.end_headers()
+                sent = self.connection.sendfile(fh, 0, size)
+            with handle._lock:
+                handle.served["bytes_sent"] += sent
 
         def log_message(self, fmt: str, *args) -> None:
             pass
@@ -277,7 +303,8 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
         server = ThreadingHTTPServer((host, port), Handler)
     except (OSError, OverflowError) as exc:
         raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return ServerHandle(host=host, port=server.server_address[1], root=root,
-                        _server=server, _thread=thread)
+    handle = ServerHandle(
+        host=host, port=server.server_address[1], root=root, _server=server,
+        _thread=threading.Thread(target=server.serve_forever, daemon=True))
+    handle._thread.start()
+    return handle

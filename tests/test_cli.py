@@ -1,4 +1,5 @@
 import hashlib
+import http.client
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import urllib.error
 import urllib.request
 from fractions import Fraction
 from pathlib import Path
@@ -976,8 +978,8 @@ def test_forced_pipeline_into_current_dir_keeps_the_clip(tmp_path, capsys,
     assert (tmp_path / "manifest.mpd").read_bytes() == manifest
 
 
-@pytest.mark.parametrize("stop", [signal.SIGTERM, signal.SIGINT])
-def test_serve_announces_port_at_once_and_stops_on_signal(tmp_path, stop):
+def _start_serve(tmp_path):
+    """`evso serve` of a one-file tree on an ephemeral port, and its URL."""
     (tmp_path / "manifest.mpd").write_text("<MPD/>")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + sys.path))
@@ -989,21 +991,55 @@ def test_serve_announces_port_at_once_and_stops_on_signal(tmp_path, stop):
          "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    ready, _, _ = select.select([proc.stdout], [], [], 5)
+    if not ready:
+        _stop_serve(proc)
+        pytest.fail("no serving line within 5 s")
+    line = proc.stdout.readline().decode()
+    return proc, line.rsplit(" at ", 1)[1].strip()
+
+
+def _stop_serve(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
+
+
+@pytest.mark.parametrize("stop", [signal.SIGTERM, signal.SIGINT])
+def test_serve_announces_port_at_once_and_stops_on_signal(tmp_path, stop):
+    proc, url = _start_serve(tmp_path)
     try:
-        ready, _, _ = select.select([proc.stdout], [], [], 5)
-        assert ready, "no serving line within 5 s"
-        line = proc.stdout.readline().decode()
-        url = line.rsplit(" at ", 1)[1].strip()
         with urllib.request.urlopen(url + "manifest.mpd", timeout=5) as resp:
             assert resp.read() == b"<MPD/>"
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(url + "missing.y4m", timeout=5)
+        err.value.close()
         proc.send_signal(stop)
         assert proc.wait(timeout=10) == 0
+        # stdout stays the serving line; what was served goes to stderr.
+        assert proc.stdout.read() == b""
+        summary = proc.stderr.read().decode().splitlines()[-1]
+        assert summary.startswith("evso serve: ")
+        assert json.loads(summary.split(": ", 1)[1]) == {
+            "connections": 2, "requests": 2, "not_found": 1, "bytes_sent": 6}
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-        proc.stderr.close()
+        _stop_serve(proc)
+
+
+def test_serve_stops_on_signal_while_a_connection_idles(tmp_path):
+    proc, url = _start_serve(tmp_path)
+    host, port = url[len("http://"):].rstrip("/").rsplit(":", 1)
+    conn = http.client.HTTPConnection(host, int(port), timeout=5)
+    try:
+        conn.request("GET", "/manifest.mpd")
+        assert conn.getresponse().read() == b"<MPD/>"
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        conn.close()
+        _stop_serve(proc)
 
 
 def test_manifest_lists_segments_in_chunk_order_past_999(tmp_path):

@@ -1,5 +1,10 @@
+import hashlib
+import http.client
 import io
 import socket
+import statistics
+import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from fractions import Fraction
@@ -19,6 +24,7 @@ from evso.errors import (
     MissingManifest,
     NoVideoSets,
 )
+from evso import stream_sim
 from evso.stream_sim import (
     BatteryLevel,
     ClientState,
@@ -211,11 +217,129 @@ def test_serve_rejects_unknown_and_external_paths(tmp_path):
     outside.write_text("secret")
     with serve(root) as handle:
         for path in ("missing.y4m", "../outside.txt", "%2e%2e/outside.txt",
-                     "segments/"):
+                     "segments/", "%00"):
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(handle.url + path)
             err.value.close()
             assert err.value.code == 404
+
+
+def test_serve_answers_404_for_a_file_it_cannot_open(tmp_path, monkeypatch):
+    root = _tree(tmp_path)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    with serve(root) as handle:
+        monkeypatch.setattr(stream_sim, "open", refuse, raising=False)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(handle.url + "segments/chunk_000.y4m")
+        err.value.close()
+        assert err.value.code == 404
+        monkeypatch.undo()
+        reply = urllib.request.urlopen(handle.url + "segments/chunk_000.y4m")
+        assert reply.read() == b"payload-bytes"
+
+
+class CountingConnection(http.client.HTTPConnection):
+    """HTTP connection that counts the TCP connections it opens."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.opened = 0
+
+    def connect(self):
+        self.opened += 1
+        super().connect()
+
+
+def _get(conn, path):
+    conn.request("GET", "/" + path)
+    resp = conn.getresponse()
+    return resp.status, resp.read()
+
+
+def test_serve_keeps_one_connection_for_many_requests(tmp_path):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        conn = CountingConnection(handle.host, handle.port, timeout=5)
+        try:
+            for _ in range(5):
+                assert _get(conn, "segments/chunk_000.y4m") == (
+                    200, b"payload-bytes")
+        finally:
+            conn.close()
+    assert conn.opened == 1
+    assert handle.served == {"connections": 1, "requests": 5,
+                             "not_found": 0, "bytes_sent": 5 * 13}
+
+
+def test_serve_answers_on_a_kept_connection_after_a_404(tmp_path):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        conn = CountingConnection(handle.host, handle.port, timeout=5)
+        try:
+            assert _get(conn, "missing.y4m")[0] == 404
+            assert _get(conn, "manifest.mpd") == (200, b"<MPD/>")
+        finally:
+            conn.close()
+    assert handle.served["requests"] == 2
+    assert handle.served["not_found"] == 1
+
+
+def test_serve_answers_small_files_at_once_on_a_kept_connection(tmp_path):
+    # With Nagle's algorithm on, each reply waits ~40 ms for the client's
+    # delayed ACK of its headers.
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        conn = CountingConnection(handle.host, handle.port, timeout=5)
+        try:
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                assert _get(conn, "manifest.mpd") == (200, b"<MPD/>")
+                times.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+    assert conn.opened == 1
+    assert statistics.median(times) < 0.020
+
+
+def test_serve_answers_nothing_on_a_kept_connection_after_close(tmp_path):
+    root = _tree(tmp_path)
+    handle = serve(root)
+    conn = CountingConnection(handle.host, handle.port, timeout=5)
+    try:
+        assert _get(conn, "manifest.mpd") == (200, b"<MPD/>")
+        handle.close()
+        with pytest.raises(ConnectionError):
+            _get(conn, "manifest.mpd")
+    finally:
+        conn.close()
+        handle.close()
+
+
+def test_serve_sends_a_large_file_without_holding_it(tmp_path):
+    root = _tree(tmp_path)
+    data = bytes(range(256)) * (8 * 4096)  # 8 MiB
+    (root / "segments" / "large.y4m").write_bytes(data)
+    with serve(root) as handle:
+        conn = CountingConnection(handle.host, handle.port, timeout=10)
+        tracemalloc.start()
+        try:
+            conn.request("GET", "/segments/large.y4m")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert resp.headers["Content-Length"] == str(len(data))
+            digest = hashlib.sha256()
+            while piece := resp.read(64 * 1024):
+                digest.update(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            conn.close()
+    assert digest.digest() == hashlib.sha256(data).digest()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_serve_requires_manifest(tmp_path):

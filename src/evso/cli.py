@@ -209,7 +209,7 @@ def _series_from_doc(doc: dict) -> DiffSeries:
             if type(ssim) not in (int, float, type(None)):
                 raise TypeError(f"pair {pos} has ssim {ssim!r}")
             pairs.append(PairDiff(*counts, ssim=ssim))
-        dims = FrameDims(*_json_ints(doc["width"], doc["height"]))
+        dims = FrameDims(doc["width"], doc["height"])
         return DiffSeries(dims=dims, fps=doc["fps"], pairs=pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"not an analysis document: {exc!r}") from None

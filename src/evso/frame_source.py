@@ -255,13 +255,6 @@ def stream_raw_yuv(fh: BinaryIO, dims: FrameDims, fps: FpsLike,
     return FrameStream(dims, as_fps(fps), planes())
 
 
-def read_raw_yuv(path, dims: FrameDims, fps: FpsLike, layout: str) -> FrameSequence:
-    """Every luma plane of a planar file, as `stream_raw_yuv` reads them."""
-    with open(path, "rb") as fh:
-        clip = stream_raw_yuv(fh, dims, fps, layout)
-        return FrameSequence(frames=clip, fps=clip.fps)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic sequences
 # ---------------------------------------------------------------------------

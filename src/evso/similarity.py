@@ -9,7 +9,7 @@ validation experiments.
 
 from __future__ import annotations
 
-import math
+import statistics
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -127,13 +127,17 @@ def _window_sums(stack: np.ndarray, spare: np.ndarray) -> np.ndarray:
 
 
 def ssim_work(shape: Tuple[int, int]) -> tuple:
-    """Work arrays for `ssim` on planes of one shape: two (5, H, W) int32
-    window-sum buffers and (6, H-7, W-7) float64 moments. A caller scoring
-    many pairs passes one set to every call: had each call freed them, glibc
-    could trim the heap top and the next call would fault the pages in."""
+    """Work arrays for `ssim` on planes of one shape: for one band of B =
+    min(128, H-7) window rows, two (5, B+7, W) int32 window-sum buffers and
+    (5, B, W-7) float64 moments, then the (H-7, W-7) float64 score map. A
+    caller scoring many pairs passes one set to every call: had each call
+    freed them, glibc could trim the heap top and the next call would fault
+    the pages in."""
     height, width = shape
-    return (*np.empty((2, 5, height, width), np.int32),
-            np.empty((6, height - _SSIM_EDGE + 1, width - _SSIM_EDGE + 1)))
+    rows, cols = height - _SSIM_EDGE + 1, width - _SSIM_EDGE + 1
+    band = min(_BAND_ROWS, rows)
+    return (*np.empty((2, 5, band + _SSIM_EDGE - 1, width), np.int32),
+            np.empty((5, band, cols)), np.empty((rows, cols)))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, work: Optional[tuple] = None) -> float:
@@ -145,8 +149,9 @@ def ssim(a: np.ndarray, b: np.ndarray, work: Optional[tuple] = None) -> float:
     Identical planes return exactly 1.0 without computing any window, the
     value the formula gives for them. Window sums of a, b, a*a, b*b and a*b
     are exact in int32 (at most 64 * 255**2 < 2**31 at any frame size). A
-    plane of another dtype raises DegenerateInput. It works in place in
-    `work` from `ssim_work` (fresh if not given); the result is the same.
+    plane of another dtype raises DegenerateInput. It scores one band of
+    window rows at a time in `work` from `ssim_work` (fresh if not given);
+    the result is the same.
     """
     _check_same_dims(a, b)
     if a.dtype != np.uint8 or b.dtype != np.uint8:
@@ -157,25 +162,31 @@ def ssim(a: np.ndarray, b: np.ndarray, work: Optional[tuple] = None) -> float:
         )
     if np.array_equal(a, b):
         return 1.0
-    stack, spare, moments = work or ssim_work(a.shape)
-    if stack.shape[1:] != a.shape:
-        raise DimsMismatch(f"work arrays for {stack.shape[1:]}, planes {a.shape}")
-    stack[0], stack[1] = a, b
-    np.multiply(stack[:2], stack[:2], out=stack[2:4])
-    np.multiply(stack[0], stack[1], out=stack[4])
-    # Scaling by 1/64 is exact: these equal the sums divided by 64.
-    np.multiply(_window_sums(stack, spare), 1.0 / _SSIM_EDGE ** 2, out=moments[:5])
-    mu_a, mu_b, var_a, var_b, cov, ab = moments
-    cov -= np.multiply(mu_a, mu_b, out=ab)
-    var_a -= np.multiply(mu_a, mu_a, out=mu_a)  # mu_a, mu_b now hold squares
-    var_b -= np.multiply(mu_b, mu_b, out=mu_b)
-    # numer = (2 mu_a mu_b + C1)(2 cov + C2), as doubling a float is exact;
-    # denom = (mu_a^2 + mu_b^2 + C1)(var_a + var_b + C2).
-    numer = np.add(np.multiply(ab, 2.0, out=ab), _SSIM_C1, out=ab)
-    numer *= np.add(np.multiply(cov, 2.0, out=cov), _SSIM_C2, out=cov)
-    denom = np.add(np.add(mu_a, mu_b, out=mu_a), _SSIM_C1, out=mu_a)
-    denom *= np.add(np.add(var_a, var_b, out=var_a), _SSIM_C2, out=var_a)
-    return float(np.mean(np.divide(numer, denom, out=numer)))
+    stack, spare, moments, scores = work or ssim_work(a.shape)
+    if scores.shape != (a.shape[0] - _SSIM_EDGE + 1, a.shape[1] - _SSIM_EDGE + 1):
+        raise DimsMismatch(f"work arrays for {scores.shape} windows, planes {a.shape}")
+    band = moments.shape[1]
+    for r0 in range(0, len(scores), band):
+        r0 = min(r0, len(scores) - band)  # the last band ends at the last row
+        rows = slice(r0, r0 + band + _SSIM_EDGE - 1)
+        stack[0], stack[1] = a[rows], b[rows]
+        np.multiply(stack[:2], stack[:2], out=stack[2:4])
+        np.multiply(stack[0], stack[1], out=stack[4])
+        # Scaling by 1/64 is exact: these equal the sums divided by 64.
+        np.multiply(_window_sums(stack, spare), 1.0 / _SSIM_EDGE ** 2, out=moments)
+        mu_a, mu_b, var_a, var_b, cov = moments
+        ab = scores[r0:r0 + band]
+        cov -= np.multiply(mu_a, mu_b, out=ab)
+        var_a -= np.multiply(mu_a, mu_a, out=mu_a)  # mu_a, mu_b now hold squares
+        var_b -= np.multiply(mu_b, mu_b, out=mu_b)
+        # numer = (2 mu_a mu_b + C1)(2 cov + C2), as doubling a float is exact;
+        # denom = (mu_a^2 + mu_b^2 + C1)(var_a + var_b + C2).
+        numer = np.add(np.multiply(ab, 2.0, out=ab), _SSIM_C1, out=ab)
+        numer *= np.add(np.multiply(cov, 2.0, out=cov), _SSIM_C2, out=cov)
+        denom = np.add(np.add(mu_a, mu_b, out=mu_a), _SSIM_C1, out=mu_a)
+        denom *= np.add(np.add(var_a, var_b, out=var_a), _SSIM_C2, out=var_a)
+        np.divide(numer, denom, out=numer)
+    return float(np.mean(scores))
 
 
 def diff_series(clip: Union[FrameSequence, FrameStream],
@@ -198,44 +209,23 @@ def diff_series(clip: Union[FrameSequence, FrameStream],
     return DiffSeries(dims=clip.dims, fps=clip.fps, pairs=tuple(pairs))
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson correlation coefficient, clamped to [-1, 1].
+def _statistic(method, xs: Sequence[float], ys: Sequence[float]):
+    """method(xs, ys) from `statistics`, raising DegenerateInput where it
+    refuses mismatched lengths, fewer than two points or a constant input."""
+    try:
+        return method(xs, ys)
+    except statistics.StatisticsError as exc:
+        raise DegenerateInput(str(exc)) from None
 
-    Raises DegenerateInput for fewer than two points, mismatched lengths, or
-    zero variance on either side.
-    """
-    if len(xs) != len(ys):
-        raise DegenerateInput(f"length mismatch: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    if n < 2:
-        raise DegenerateInput(f"need >= 2 points, got {n}")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    var_x = sum(d * d for d in dx)
-    var_y = sum(d * d for d in dy)
-    if var_x == 0.0 or var_y == 0.0:
-        raise DegenerateInput("zero variance input")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
-    return max(-1.0, min(1.0, r))
+
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson correlation coefficient, clamped to [-1, 1]."""
+    return max(-1.0, min(1.0, _statistic(statistics.correlation, xs, ys)))
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
     """Least-squares line fit; returns (slope, intercept)."""
-    if len(xs) != len(ys):
-        raise DegenerateInput(f"length mismatch: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    if n < 2:
-        raise DegenerateInput(f"need >= 2 points, got {n}")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    if var_x == 0.0:
-        raise DegenerateInput("zero variance in x")
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = cov / var_x
-    return slope, mean_y - slope * mean_x
+    return tuple(_statistic(statistics.linear_regression, xs, ys))
 
 
 def regression_ssim_estimate(d: float) -> float:

@@ -291,8 +291,12 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
                 self.send_header("Content-Type",
                                  _CONTENT_TYPES.get(ext, "application/octet-stream"))
                 self.send_header("Content-Length", str(size))
-                self.end_headers()
-                sent = self.connection.sendfile(fh, 0, size)
+                try:  # a client that hangs up mid-reply is normal traffic
+                    self.end_headers()
+                    self.connection.sendfile(fh, 0, size)
+                except ConnectionError:
+                    self.close_connection = True
+                sent = fh.tell()  # sendfile seeks past what it sent, even on error
             with handle._lock:
                 handle.served["bytes_sent"] += sent
 
@@ -303,8 +307,10 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
         server = ThreadingHTTPServer((host, port), Handler)
     except (OSError, OverflowError) as exc:
         raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
+    # close() waits for serve_forever's next poll, so poll often.
     handle = ServerHandle(
         host=host, port=server.server_address[1], root=root, _server=server,
-        _thread=threading.Thread(target=server.serve_forever, daemon=True))
+        _thread=threading.Thread(target=server.serve_forever, daemon=True,
+                                 kwargs={"poll_interval": 0.05}))
     handle._thread.start()
     return handle

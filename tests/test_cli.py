@@ -1143,6 +1143,7 @@ def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
                  ["schedule", "--analysis", "a.json"], id=f"analysis-{name}")
       for name, bad in (("fps-true", {"fps": True}),
                         ("width-float", {"width": 96.5}),
+                        ("height-true", {"height": True}),
                         ("ssim-str", {"pairs": [{"index": 0, "m_diff": 0,
                                                  "ssim": "abc"}]}),
                         ("ssim-nan", {"pairs": [{"index": 0, "m_diff": 0,
@@ -1154,7 +1155,9 @@ def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
           ("luma-str", [{"kind": "static", "width": 32, "height": 32,
                          "count": 4, "luma": "x"}]),
           ("not-a-list", {"kind": "static"}),
-          ("kind-mystery", [{"kind": "mystery"}]))],
+          ("kind-mystery", [{"kind": "mystery"}]),
+          ("static-only", [{"kind": "static", "width": 32, "height": 32,
+                            "count": 4, "luma": 9}]))],
     *[pytest.param({}, ["synth", "moving-block", "--dims", "96x64", "--count",
                         "3", flag, value, "--out", "bad.y4m"], id=f"synth-{flag[2:]}")
       for flag, value in (("--fg-luma", "300"), ("--block-edge", "-5"))],

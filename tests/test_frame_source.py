@@ -23,7 +23,6 @@ from evso.frame_source import (
     as_fps,
     build_corpus,
     encode_y4m,
-    read_raw_yuv,
     read_y4m,
     standard_corpus,
     stream_raw_yuv,
@@ -371,12 +370,18 @@ def test_y4m_unsupported_color_space_rejected():
         read_y4m(b"YUV4MPEG2 W16 H16 F30:1 C444\nFRAME\n" + bytes(16 * 16 * 3))
 
 
+def _read_raw(path, dims, fps, layout) -> FrameSequence:
+    """A whole raw clip, as a caller builds it from `stream_raw_yuv`."""
+    with open(path, "rb") as fh:
+        return FrameSequence(frames=stream_raw_yuv(fh, dims, fps, layout), fps=fps)
+
+
 def test_raw_yuv_yonly_round_trip(tmp_path):
     dims = FrameDims(32, 16)
     seq = synth_noise(dims, 4, seed=9, amplitude=200)
     path = tmp_path / "clip.yuv"
     path.write_bytes(b"".join(f.tobytes() for f in seq))
-    back = read_raw_yuv(path, dims, 30, "YONLY")
+    back = _read_raw(path, dims, 30, "YONLY")
     assert len(back) == 4
     for a, b in zip(seq, back):
         assert np.array_equal(a, b)
@@ -388,7 +393,7 @@ def test_raw_yuv_i420_keeps_luma_only(tmp_path):
     chroma = bytes([128]) * (8 * 8 * 2)
     path = tmp_path / "clip.yuv"
     path.write_bytes((luma.tobytes() + chroma) * 3)
-    back = read_raw_yuv(path, dims, 24, "I420")
+    back = _read_raw(path, dims, 24, "I420")
     assert len(back) == 3
     assert np.array_equal(back[2], luma)
 
@@ -398,7 +403,7 @@ def test_raw_yuv_i420_odd_size_rounds_chroma_up(tmp_path):
     luma = _odd_luma(33, 17)
     path = tmp_path / "clip.yuv"
     path.write_bytes((luma.tobytes() + bytes([128]) * (17 * 9 * 2)) * 3)
-    back = read_raw_yuv(path, dims, 24, "I420")
+    back = _read_raw(path, dims, 24, "I420")
     assert len(back) == 3
     assert np.array_equal(back[2], luma)
 
@@ -410,7 +415,7 @@ def test_raw_yuv_i420_holds_only_luma_in_memory(tmp_path):
     path.write_bytes(frame.tobytes() * count)
     tracemalloc.start()
     try:
-        back = read_raw_yuv(path, dims, 30, "I420")
+        back = _read_raw(path, dims, 30, "I420")
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,7 +428,7 @@ def test_raw_yuv_size_mismatch(tmp_path):
     path = tmp_path / "clip.yuv"
     path.write_bytes(bytes(16 * 16 + 5))
     with pytest.raises(SizeMismatch):
-        read_raw_yuv(path, FrameDims(16, 16), 30, "YONLY")
+        _read_raw(path, FrameDims(16, 16), 30, "YONLY")
 
 
 def test_synth_static_is_constant():

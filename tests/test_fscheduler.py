@@ -271,8 +271,10 @@ def test_schedule_config_validation():
         Config(taus=(500, 1500, 3000))
     with pytest.raises(ValueError):
         Config(taus=(500, 400, 3000, 6000))
-    with pytest.raises(ValueError):
-        Config(delta=-0.1)
+    for bad in ({"delta": -0.1}, {"theta": -1}, {"k_window": 1},
+                {"alpha": -1}, {"beta": -1}):
+        with pytest.raises(ValueError):
+            Config(**bad)
 
 
 def test_schedule_static_clip_rates():

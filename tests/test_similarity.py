@@ -183,7 +183,9 @@ def _float_reference_ssim(a, b):
 
 def _ssim_reference_pairs():
     rng = np.random.Generator(np.random.PCG64(8))
-    for shape in ((8, 8), (33, 17), (1080, 1920)):
+    # 135 and 263 rows hold one and two exact 128-row bands of windows; at
+    # 136 the last band overlaps the first by 127 rows.
+    for shape in ((8, 8), (33, 17), (1080, 1920), (135, 24), (136, 24), (263, 24)):
         a = rng.integers(0, 256, size=shape, dtype=np.uint8)
         yield a, rng.integers(0, 256, size=shape, dtype=np.uint8)
         one = a.copy()
@@ -231,10 +233,11 @@ def test_ssim_int32_windows_match_float_reference_on_extremes():
 
 
 def test_ssim_work_bytes_per_pixel_stay_within_one_percent():
-    # The int64 summed-area-table kernel's work set at these shapes.
-    for shape, before in (((128, 192), 2_042_560), ((1080, 1920), 181_327_552)):
-        after = sum(a.nbytes for a in ssim_work(shape))
-        assert abs(after - before) <= 0.01 * before
+    # The int64 summed-area-table kernel's work set at 192x128.
+    after = sum(a.nbytes for a in ssim_work((128, 192)))
+    assert abs(after - 2_042_560) <= 0.01 * 2_042_560
+    # At 1080p one 128-row band of windows is held, not the whole frame.
+    assert sum(a.nbytes for a in ssim_work((1080, 1920))) <= 40_000_000
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.float64,
@@ -458,8 +461,9 @@ def test_linear_fit_recovers_exact_line():
     slope, intercept = linear_fit(xs, [2 * x + 1 for x in xs])
     assert slope == pytest.approx(2.0, abs=1e-12)
     assert intercept == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DegenerateInput):
-        linear_fit([3, 3, 3], [1, 2, 3])
+    for xs, ys in (([3, 3, 3], [1, 2, 3]), ([1.0], [2.0]), ([1, 2], [3, 4, 5])):
+        with pytest.raises(DegenerateInput):
+            linear_fit(xs, ys)
 
 
 def test_regression_estimate_matches_fit_constants():

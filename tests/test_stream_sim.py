@@ -342,6 +342,41 @@ def test_serve_sends_a_large_file_without_holding_it(tmp_path):
     assert peak < 2 * 1024 * 1024
 
 
+def test_serve_counts_a_hang_up_mid_reply_without_a_traceback(tmp_path, capfd):
+    root = _tree(tmp_path)
+    size = 8 * 1024 * 1024
+    (root / "segments" / "large.y4m").write_bytes(bytes(size))
+    with serve(root) as handle:
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=5)
+        try:
+            conn.request("GET", "/segments/large.y4m")
+            assert len(conn.getresponse().read(1000)) == 1000
+        finally:
+            conn.close()
+        deadline = time.monotonic() + 5
+        while handle.served["bytes_sent"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        sent = handle.served["bytes_sent"]
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=5)
+        try:
+            assert _get(conn, "manifest.mpd") == (200, b"<MPD/>")
+        finally:
+            conn.close()
+    assert 1000 <= sent < size
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_serve_closes_at_once(tmp_path):
+    root = _tree(tmp_path)
+    times = []
+    for _ in range(5):
+        handle = serve(root)
+        start = time.perf_counter()
+        handle.close()
+        times.append(time.perf_counter() - start)
+    assert statistics.median(times) < 0.1
+
+
 def test_serve_requires_manifest(tmp_path):
     with pytest.raises(MissingManifest):
         serve(tmp_path)

@@ -280,15 +280,9 @@ def cmd_analyze(args, config: Config) -> int:
 
 
 def cmd_split(args, config: Config) -> int:
-    series = _obtain_series(args, config)
-    gamma = as_fps(args.gamma or series.fps)
-    chunks = fscheduler.split(series, gamma=gamma, config=config)
-    doc = {
-        "frame_count": series.frame_count,
-        "fps": str(series.fps),
-        "gamma": str(gamma),
-        "chunks": [{"start": c.start, "end": c.end} for c in chunks],
-    }
+    """The schedule document without each chunk's sigma and rates."""
+    doc = _schedule_to_doc(_schedule(_obtain_series(args, config), args, config))
+    doc["chunks"] = [{k: c[k] for k in ("start", "end")} for c in doc["chunks"]]
     _emit(args, _dump_json(doc))
     return 0
 

@@ -329,24 +329,17 @@ def synth_noise(dims: FrameDims, count: int, seed: int, amplitude: int,
 # ---------------------------------------------------------------------------
 
 def standard_corpus() -> list:
-    """Fixed mixed corpus: 3 static + 3 moving-block + 2 noise sequences.
-
-    232 adjacent pairs total; seeds and geometries are frozen so the
-    correlation experiment is reproducible run to run.
-    """
-    sequences = [
-        synth_static(FrameDims(64, 64), 30, luma, fps=30)
-        for luma in (32, 128, 224)
-    ]
-    sequences += [
-        synth_moving_block(FrameDims(96, 64), 30, 32, velocity, 235, 16, fps=30)
-        for velocity in (2, 8, 16)
-    ]
-    sequences += [
-        synth_noise(FrameDims(64, 64), 30, seed, 255, fps=30)
-        for seed in (7, 11)
-    ]
-    return sequences
+    """Fixed mixed corpus of 30-frame clips at build_corpus's defaults: 3
+    static, 3 moving-block and 2 noise, 232 adjacent pairs in all. Seeds and
+    geometries are frozen so the correlation experiment is reproducible."""
+    entries = [{"kind": "static", "width": 64, "height": 64, "luma": luma}
+               for luma in (32, 128, 224)]
+    entries += [{"kind": "moving_block", "width": 96, "height": 64,
+                 "block_edge": 32, "velocity": velocity}
+                for velocity in (2, 8, 16)]
+    entries += [{"kind": "noise", "width": 64, "height": 64, "seed": seed}
+                for seed in (7, 11)]
+    return build_corpus([{**entry, "count": 30} for entry in entries])
 
 
 def build_corpus(entries: Sequence[dict]) -> list:

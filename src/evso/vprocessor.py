@@ -12,21 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import InvalidRate, ScheduleMismatch
 from .frame_source import FrameSequence, encode_y4m
-from .fscheduler import ChunkRange, RateSchedule
+from .fscheduler import ChunkRange, FpsLike, RateSchedule
 from .similarity import ssim, ssim_work
 
 #: Float targets are snapped to rationals with denominators up to this bound,
 #: which absorbs binary float error while preserving every intended rate.
 _RATE_SNAP_DENOMINATOR = 10 ** 9
 
-RateLike = Union[int, float, Fraction]
 
-
-def snap_rate(rate: RateLike) -> Fraction:
+def snap_rate(rate: FpsLike) -> Fraction:
     """Exact rational for a target rate; floats recover their decimal intent."""
     if isinstance(rate, float):
         snapped = Fraction(rate).limit_denominator(_RATE_SNAP_DENOMINATOR)
@@ -38,7 +36,7 @@ def snap_rate(rate: RateLike) -> Fraction:
 
 
 def retime_indices(frame_count: int, source_fps: Fraction,
-                   target_rate: RateLike) -> Tuple[int, ...]:
+                   target_rate: FpsLike) -> Tuple[int, ...]:
     """Local indices kept when a chunk is retimed to a slower rate.
 
     Frame t survives when the interval [t*r, (t+1)*r) in output ticks
@@ -112,7 +110,7 @@ def _check_sequence(sequence: FrameSequence, frame_count: int,
 
 
 def _retime(sequence: FrameSequence, label: str,
-            targets: Iterable[Tuple[ChunkRange, RateLike]]) -> ProcessedVideo:
+            targets: Iterable[Tuple[ChunkRange, FpsLike]]) -> ProcessedVideo:
     """Retime each (range, target rate) of a sequence as one chunk."""
     chunks = []
     for rng, rate in targets:
@@ -137,7 +135,7 @@ def process(sequence: FrameSequence, rate_schedule: RateSchedule,
                     for entry in rate_schedule))
 
 
-def decimate_uniform(sequence: FrameSequence, target_rate: RateLike,
+def decimate_uniform(sequence: FrameSequence, target_rate: FpsLike,
                      label: str = "baseline") -> ProcessedVideo:
     """Retime a whole sequence as a single chunk at one flat rate."""
     return _retime(sequence, label,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from evso import cli, empd, errors
-from evso.frame_source import read_y4m
+from evso.frame_source import read_y4m, standard_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -285,6 +285,13 @@ def test_no_command_prints_help(capsys):
     assert "usage: evso" in capsys.readouterr().out
 
 
+def test_bad_dims_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "clip.yuv", "--dims", "12xq", "--fps", "30"])
+    assert exc.value.code == 2
+    assert "bad dims" in capsys.readouterr().err
+
+
 def test_synth_and_analyze_round_trip(tmp_path, capsys):
     clip = _synth_clip(tmp_path)
     capsys.readouterr()
@@ -305,6 +312,17 @@ def test_analyze_with_ssim_to_file(tmp_path):
     doc = json.loads(out.read_text())
     assert all(0.0 < p["ssim"] <= 1.0 for p in doc["pairs"])
     assert [p["index"] for p in doc["pairs"]] == list(range(44))
+
+
+def test_analyze_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert cli.main(["analyze", str(clip), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.is_dir() and list(out.iterdir()) == []
+    assert list(tmp_path.glob(".*.tmp")) == []
 
 
 def _frames_420(width=81, height=49, count=12):
@@ -440,6 +458,29 @@ def test_split_accepts_saved_analysis(tmp_path, capsys):
     assert doc["chunks"][0]["start"] == 0
     assert doc["chunks"][-1]["end"] == 45
     assert doc["gamma"] == "30"
+
+
+@pytest.mark.parametrize("source", ["video", "analysis", "gamma"])
+def test_split_prints_the_schedule_without_rates(tmp_path, capsys, source):
+    clip = _synth_clip(tmp_path, count=90)
+    config = tmp_path / "cut.json"
+    config.write_text(json.dumps(_CUT_CONFIG))
+    argv = {"video": [str(clip)], "gamma": [str(clip), "--gamma", "12.5"]}
+    if source == "analysis":
+        analysis = tmp_path / "analysis.json"
+        assert cli.main(["--config", str(config), "analyze", str(clip),
+                         "--out", str(analysis)]) == 0
+        argv["analysis"] = ["--analysis", str(analysis)]
+    docs = {}
+    for command in ("split", "schedule"):
+        capsys.readouterr()
+        assert cli.main(["--config", str(config), command,
+                         *argv[source]]) == 0
+        docs[command] = json.loads(capsys.readouterr().out)
+    for chunk in docs["schedule"]["chunks"]:
+        del chunk["sigma"], chunk["rates"]
+    assert docs["split"] == docs["schedule"]
+    assert len(docs["split"]["chunks"]) >= 2
 
 
 def test_split_requires_some_input(capsys):
@@ -765,6 +806,18 @@ def test_manifest_lists_only_chunk_files(tmp_path, capsys):
     assert (outdir / "manifest.mpd").read_bytes() == original
 
 
+def test_manifest_leaves_out_a_level_without_chunk_files(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
+    for path in (outdir / "segments" / "low").iterdir():
+        path.unlink()
+    assert cli.main(["manifest", str(outdir)]) == 0
+    parsed = empd.parse_xml((outdir / "manifest.mpd").read_bytes())
+    assert [a.evso_level.value for a in parsed.video_sets()] == [
+        "baseline", "high", "medium"]
+
+
 def test_correlate_custom_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps([
@@ -775,6 +828,22 @@ def test_correlate_custom_corpus(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pairs"] == 18
     assert -1.0 <= doc["pearson_r"] <= 1.0
+
+
+def test_correlate_on_the_standard_corpus(capsys):
+    assert cli.main(["correlate"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pairs"] == 232
+    assert doc["pearson_r"] == pytest.approx(-0.988695467018559, abs=1e-12)
+    assert doc["fit_slope"] == pytest.approx(-0.06331315854010106, abs=1e-12)
+    assert doc["fit_intercept"] == pytest.approx(1.0388579078395201, abs=1e-12)
+    digest = hashlib.sha256()
+    for seq in standard_corpus():
+        digest.update(f"{seq.fps} {seq.dims} {len(seq)}\n".encode())
+        for plane in seq:
+            digest.update(plane.tobytes())
+    assert digest.hexdigest() == ("fbba057c957fa27ff6bb9cb76475a7b4034e254b"
+                                  "0aed4109b6ebc895e8cfc12c")
 
 
 def test_simulate_writes_session_csv(tmp_path, capsys):
@@ -1114,6 +1183,10 @@ def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
     pytest.param({"clip.yuv": ""},
                  ["analyze", "clip.yuv", "--dims", "96x64", "--fps", "30/0"],
                  id="raw-fps"),
+    pytest.param({"clip.yuv": ""}, ["analyze", "clip.yuv"], id="raw-no-dims"),
+    pytest.param({"a.json": "{}"}, ["split", "clip.y4m", "--analysis", "a.json"],
+                 id="split-video-and-analysis"),
+    pytest.param({}, ["manifest"], id="manifest-no-dir"),
     *[pytest.param({"cfg.json": text},
                    ["--config", "cfg.json", "split", "clip.y4m"],
                    id=f"config-{name}") for name, text in _BAD_CONFIGS.items()],

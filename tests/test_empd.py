@@ -79,6 +79,13 @@ def test_empty_adaptation_set_rejected():
         AdaptationSet(content_type="video", representations=())
 
 
+def test_foreign_content_type_and_empty_manifest_rejected():
+    with pytest.raises(ValueError, match="content_type"):
+        AdaptationSet(content_type="text", representations=(_rep(),))
+    with pytest.raises(ValueError, match="at least one period"):
+        EmpdManifest(periods=())
+
+
 def test_representation_validation():
     with pytest.raises(ValueError):
         _rep(rep_id="")
@@ -129,6 +136,16 @@ def test_plain_dash_without_level_parses_as_baseline():
     video = period.adaptation_sets[0]
     assert video.evso_level is EvsoLevel.BASELINE
     assert video.representations[0].segment_urls == ("a.m4s", "b.m4s")
+
+
+def test_parse_skips_an_adaptation_set_without_representations():
+    manifest = parse_xml(b"""<MPD><Period duration="PT2S">
+      <AdaptationSet contentType="video" EVSOLevel="high"/>
+      <AdaptationSet contentType="video" EVSOLevel="low">
+        <Representation id="low" bandwidth="1"><SegmentList>
+          <SegmentURL media="l0"/></SegmentList></Representation>
+      </AdaptationSet></Period></MPD>""")
+    assert [a.evso_level for a in manifest.video_sets()] == [EvsoLevel.LOW]
 
 
 def test_parse_handles_namespace_prefixes():

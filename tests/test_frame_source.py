@@ -213,6 +213,15 @@ def test_stream_raw_yuv_checks_the_size_before_any_frame(tmp_path):
         assert [p.tobytes() for p in clip] == [bytes(range(256))] * 3
 
 
+def test_unknown_layout_empty_encode_and_empty_dims_raise_value_error():
+    with pytest.raises(ValueError, match="layout"):
+        stream_raw_yuv(io.BytesIO(), FrameDims(16, 16), 30, "NV12")
+    with pytest.raises(ValueError, match="empty"):
+        encode_y4m([], 30)
+    with pytest.raises(ValueError, match="no dims"):
+        FrameSequence(frames=(), fps=30).dims
+
+
 def test_stream_raw_yuv_refuses_a_pipe_before_any_frame():
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as fh, open(write_end, "wb") as sink:

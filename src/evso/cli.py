@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-import shutil
 import signal
 import sys
 import tempfile
@@ -109,30 +108,27 @@ def load_config(path: Optional[str]) -> Config:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _write_bytes(path: str, data: bytes, staged: bool = False) -> None:
+def _write_bytes(path: str, data: bytes) -> None:
     """Write through a uniquely named sibling, so concurrent writers never
-    share a temp file and readers never see a partial target. A staged path,
-    in a directory that no reader sees yet, is written in place."""
+    share a temp file and readers never see a partial target."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     # Exclusive create under the umask, like the target itself would get;
     # tempfile.mkstemp would leave every output readable by its owner only.
-    tmp = path if staged else os.path.join(
-        parent, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
             fh.write(data)
-        if tmp != path:
-            os.replace(tmp, path)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         _write_bytes(args.out, text.encode("utf-8"))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -202,7 +198,7 @@ def _series_from_doc(doc: dict) -> DiffSeries:
     try:
         pairs = []
         for pos, p in enumerate(doc["pairs"]):
-            if p["index"] != pos:
+            if _json_ints(p["index"]) != (pos,):
                 raise ValueError(f"pair at position {pos} has index {p['index']}")
             counts = _json_ints(p["m_diff"], p.get("y_diff", 0))
             ssim = p.get("ssim")
@@ -326,7 +322,7 @@ def _chunk_files(directory: str) -> List[str]:
 
 
 def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
-                    sequence: FrameSequence, staged: bool = False) -> List[str]:
+                    sequence: FrameSequence) -> List[str]:
     """Write a variant's chunks into directory, through _write_bytes, and
     remove any other chunk file there: left by an earlier, longer run, it
     would pass for this run's. Returns the paths written, in chunk order."""
@@ -334,7 +330,7 @@ def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
     written = []
     for i, blob in enumerate(vprocessor.segment_streams(video, sequence)):
         written.append(os.path.join(directory, f"chunk_{i:03d}.y4m"))
-        _write_bytes(written[-1], blob, staged)
+        _write_bytes(written[-1], blob)
     for name in _chunk_files(directory):
         if os.path.join(directory, name) not in written:
             os.unlink(os.path.join(directory, name))
@@ -417,8 +413,7 @@ def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dic
     for label in dict.fromkeys([*levels, *_FLAT_SHARES]):
         video = _variant(sequence, levels.get(label, label), sched)
         if label in levels:
-            _write_segments(os.path.join(root, "segments", label), video,
-                            sequence, staged=True)
+            _write_segments(os.path.join(root, "segments", label), video, sequence)
         quality = vprocessor.quality_report(video, sequence, memo)
         report[label] = {
             "kept_frames": quality.kept_count,
@@ -446,7 +441,8 @@ def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dic
 
 
 #: What pipeline writes into its output directory; nothing else there is
-#: touched. manifest.mpd goes last, so it never names a missing segment.
+#: touched. segments, the one directory, goes first; manifest.mpd goes last,
+#: so it never names a missing segment.
 _TREE_ENTRIES = ("segments", "schedule.json", "quality_report.json",
                  "manifest.mpd")
 
@@ -461,16 +457,19 @@ def cmd_pipeline(args, config: Config) -> int:
     # old tree as it was; the old segments/ goes whole, so no chunk of an
     # earlier, longer clip stays behind.
     os.makedirs(outdir, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".stage-", dir=outdir)
-    try:
+    with tempfile.TemporaryDirectory(prefix=".stage-", dir=outdir,
+                                     ignore_cleanup_errors=True) as stage:
         summary = _write_tree(stage, sequence, config, args)
+        # No file can replace a directory: refuse one before anything moves.
+        for name in _TREE_ENTRIES[1:]:
+            path = os.path.join(outdir, name)
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise EvsoError(f"a directory is in the way: {path}")
         old_segments = os.path.join(outdir, "segments")
         if os.path.lexists(old_segments):
             os.replace(old_segments, os.path.join(stage, "old_segments"))
         for name in _TREE_ENTRIES:
             os.replace(os.path.join(stage, name), os.path.join(outdir, name))
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
     print(_dump_json({"outdir": outdir, **summary}), end="")
     return 0
 
@@ -601,19 +600,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("split", help="partition a video into motion chunks")
-    _add_video_input(p, optional=True)
-    p.add_argument("--analysis", help="reuse a JSON report from analyze")
-    p.add_argument("--gamma", help="playback rate (default: source rate)")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("schedule", help="assign per-chunk target rates")
-    _add_video_input(p, optional=True)
-    p.add_argument("--analysis", help="reuse a JSON report from analyze")
-    p.add_argument("--gamma", help="playback rate (default: source rate)")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_schedule)
+    for name, summary, func in (
+            ("split", "partition a video into motion chunks", cmd_split),
+            ("schedule", "assign per-chunk target rates", cmd_schedule)):
+        p = sub.add_parser(name, help=summary)
+        _add_video_input(p, optional=True)
+        p.add_argument("--analysis", help="reuse a JSON report from analyze")
+        p.add_argument("--gamma", help="playback rate (default: source rate)")
+        p.add_argument("--out", help="output JSON path (default: stdout)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("process", help="retime a video under one profile")
     _add_video_input(p)

@@ -138,12 +138,13 @@ def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
 
 def _parse_signature(header: bytes):
     """Frame dims, fps and color space from a YUV4MPEG2 signature line."""
-    if not header.startswith(b"YUV4MPEG2"):
+    tokens = header.split()  # the signature is a whole word at byte 0
+    if not header.startswith(b"YUV4MPEG2") or tokens[0] != b"YUV4MPEG2":
         raise MalformedHeader("missing YUV4MPEG2 signature")
     width = height = None
     fps = None
     color = "420"
-    for token in header.split()[1:]:
+    for token in tokens[1:]:
         tag = token.decode("ascii", "replace")
         try:
             if tag.startswith("W"):
@@ -187,7 +188,7 @@ def stream_y4m(source: Union[bytes, BinaryIO]) -> FrameStream:
         # Chroma is read past (pipes cannot seek) through one held piece.
         piece = memoryview(bytearray(min(chroma_bytes, 1 << 16)))
         for i, marker in enumerate(iter(lambda: _readline(stream), b"")):
-            if not marker.startswith(b"FRAME"):
+            if not marker.startswith(b"FRAME") or marker.split()[0] != b"FRAME":
                 raise MalformedHeader(f"expected FRAME marker, got {marker[:16]!r}")
             payload = _read_exact(stream, dims.pixels, f"frame {i}: luma")
             left = chroma_bytes

@@ -106,7 +106,8 @@ class TracePoint(NamedTuple):
 
 def load_trace(source: Union[str, os.PathLike, TextIO]) -> List[TracePoint]:
     """Read a trace CSV with columns segment_index, bandwidth_bps and an
-    optional battery_level column."""
+    optional battery_level column. Rows come back in file order;
+    simulate_session orders them by segment index."""
     if hasattr(source, "read"):
         return _read_trace(source)
     with open(source, "r", newline="") as fh:
@@ -125,7 +126,6 @@ def _read_trace(fh: TextIO) -> List[TracePoint]:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedDocument(f"not a trace CSV: {exc!r}") from None
-    points.sort(key=lambda p: p.segment_index)
     return points
 
 

@@ -715,7 +715,7 @@ def test_process_writes_the_chunks_pipeline_writes_for_its_level(tmp_path,
         assert _tree_bytes(out) == expected
 
 
-def test_pipeline_writes_chunks_in_place_and_process_through_renames(
+def test_pipeline_and_process_write_every_chunk_file_through_a_rename(
         tmp_path, capsys, monkeypatch):
     clip = _synth_clip(tmp_path, count=90)
     cfg = tmp_path / "cfg.json"
@@ -724,20 +724,36 @@ def test_pipeline_writes_chunks_in_place_and_process_through_renames(
     real_replace = os.replace
 
     def replace(src, dst):
-        renamed.append(os.path.basename(dst))
+        renamed.append((Path(src), Path(dst)))
         real_replace(src, dst)
+
+    def chunk_renames():
+        """Level and name of each chunk file renamed into place, each from
+        a temporary sibling of its own."""
+        chunks = [(src, dst) for src, dst in renamed
+                  if dst.name.startswith("chunk_")]
+        for src, dst in chunks:
+            assert src.parent == dst.parent
+            assert re.fullmatch(rf"\.{dst.name}\.[0-9a-f]{{32}}\.tmp", src.name)
+        return sorted(f"{dst.parent.name}/{dst.name}" for _, dst in chunks)
 
     monkeypatch.setattr(os, "replace", replace)
     tree = tmp_path / "tree"
     assert cli.main(["--config", str(cfg), "pipeline", str(clip),
                      str(tree)]) == 0
-    assert len(list(tree.glob("segments/*/chunk_*.y4m"))) == 12
-    assert sorted(set(renamed)) == ["manifest.mpd", "quality_report.json",
-                                    "schedule.json", "segments"]
+    written = sorted(f"{path.parent.name}/{path.name}"
+                     for path in tree.glob("segments/*/chunk_*.y4m"))
+    assert len(written) == 12
+    assert chunk_renames() == written
+    assert sorted(dst.name for _, dst in renamed
+                  if dst.parent == tree) == sorted(TREE_ENTRIES)
     renamed.clear()
     assert cli.main(["--config", str(cfg), "process", str(clip), "--profile",
                      "evso", "--out", str(tmp_path / "segs")]) == 0
-    assert renamed == ["chunk_000.y4m", "chunk_001.y4m", "chunk_002.y4m"]
+    assert chunk_renames() == ["segs/chunk_000.y4m", "segs/chunk_001.y4m",
+                               "segs/chunk_002.y4m"]
+    assert len(renamed) == 3
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_pipeline_scores_each_held_pair_once_across_variants(
@@ -869,7 +885,13 @@ def test_simulate_writes_session_csv(tmp_path, capsys):
                                    pytest.param([{"index": 0, "m_diff": 0,
                                                   "ssim": "abc"}], id="ssim-str"),
                                    pytest.param([{"index": 0, "m_diff": 0,
-                                                  "ssim": True}], id="ssim-bool")])
+                                                  "ssim": True}], id="ssim-bool"),
+                                   pytest.param([{"index": 0, "m_diff": 0},
+                                                 {"index": True, "m_diff": 0}],
+                                                id="index-true"),
+                                   pytest.param([{"index": 0, "m_diff": 0},
+                                                 {"index": 1.0, "m_diff": 0}],
+                                                id="index-float")])
 def test_split_rejects_malformed_analysis(tmp_path, capsys, pairs):
     doc = {"width": 96, "height": 64, "fps": "30"}
     if pairs is not None:
@@ -878,6 +900,20 @@ def test_split_rejects_malformed_analysis(tmp_path, capsys, pairs):
     analysis.write_text(json.dumps(doc))
     assert cli.main(["split", "--analysis", str(analysis)]) == 1
     assert "error: not an analysis document" in capsys.readouterr().err
+
+
+def test_split_and_schedule_list_the_same_options(capsys):
+    helps = []
+    for command in ("split", "schedule"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        # Past the usage lines, whose wrapping follows the command's name.
+        helps.append(capsys.readouterr().out.partition("\n\n")[2])
+    assert helps[0] == helps[1]
+    for option in ("input", "--dims", "--fps", "--layout", "--analysis",
+                   "--gamma", "--out"):
+        assert f"  {option}" in helps[0]
 
 
 def test_manifest_rejects_schedule_lacking_chunks(tmp_path, capsys):
@@ -922,6 +958,28 @@ def test_manifest_rejects_schedule_whose_chunks_do_not_tile_the_clip(
     assert cli.main(["manifest", str(outdir), "--out", str(tmp_path / "m.mpd")]) == 1
     assert "error: not a schedule document" in capsys.readouterr().err
     assert not (tmp_path / "m.mpd").exists()
+
+
+def test_simulate_orders_a_shuffled_trace(tmp_path, capsys):
+    clip = _synth_clip(tmp_path, count=90)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CUT_CONFIG))
+    outdir = tmp_path / "tree"
+    assert cli.main(["--config", str(cfg), "pipeline", str(clip),
+                     str(outdir)]) == 0
+    rows = ["0,1000000000,high", "1,1000000000,medium", "2,1000000000,low"]
+    sessions = []
+    for order in (rows, rows[::-1], [rows[1], rows[2], rows[0]]):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(["segment_index,bandwidth_bps,battery_level",
+                                    *order]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["simulate", str(outdir / "manifest.mpd"),
+                         "--trace", str(trace)]) == 0
+        sessions.append(capsys.readouterr().out)
+    assert sessions[0] == sessions[1] == sessions[2]
+    assert [line.split(",")[1] for line in sessions[0].splitlines()[1:]] == [
+        "high", "medium", "low"]
 
 
 def test_simulate_rejects_malformed_trace(tmp_path, capsys):
@@ -975,6 +1033,39 @@ TREE_ENTRIES = ("manifest.mpd", "quality_report.json", "schedule.json",
 def _tree_bytes(root):
     return {path.relative_to(root): path.read_bytes()
             for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("name", TREE_ENTRIES[:3])
+def test_forced_pipeline_refuses_a_directory_in_the_trees_way(tmp_path, capsys,
+                                                              name):
+    long_clip = _synth_clip(tmp_path, "long.y4m", count=40)
+    short_clip = _synth_clip(tmp_path, "short.y4m", count=20)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(long_clip), str(outdir)]) == 0
+    (outdir / name).unlink()
+    (outdir / name / "kept").mkdir(parents=True)
+    old = _tree_bytes(outdir)
+    capsys.readouterr()
+    assert cli.main(["pipeline", str(short_clip), str(outdir), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert _tree_bytes(outdir) == old
+    assert (outdir / name / "kept").is_dir()
+    assert sorted(os.listdir(outdir)) == sorted(TREE_ENTRIES)
+
+
+def test_forced_pipeline_replaces_a_link_to_a_directory(tmp_path, capsys):
+    clip = _synth_clip(tmp_path)
+    outdir = tmp_path / "tree"
+    assert cli.main(["pipeline", str(clip), str(outdir)]) == 0
+    report = (outdir / "quality_report.json").read_bytes()
+    (tmp_path / "elsewhere").mkdir()
+    (outdir / "quality_report.json").unlink()
+    (outdir / "quality_report.json").symlink_to(tmp_path / "elsewhere")
+    assert cli.main(["pipeline", str(clip), str(outdir), "--force"]) == 0
+    assert not (outdir / "quality_report.json").is_symlink()
+    assert (outdir / "quality_report.json").read_bytes() == report
+    assert os.listdir(tmp_path / "elsewhere") == []
 
 
 def test_forced_pipeline_replaces_tree_of_longer_clip(tmp_path, capsys):

@@ -165,6 +165,9 @@ def test_y4m_default_color_space_is_420():
 def test_y4m_malformed_headers_rejected():
     with pytest.raises(MalformedHeader):
         read_y4m(b"NOTAY4M W16 H16 F30:1\n")
+    for signature in (b"YUV4MPEG2X", b" YUV4MPEG2", b"YUV4MPEG"):
+        with pytest.raises(MalformedHeader, match="signature"):
+            read_y4m(signature + b" W16 H16 F30:1 Cmono\nFRAME\n" + bytes(256))
     with pytest.raises(MalformedHeader):
         read_y4m(b"YUV4MPEG2 H16 F30:1\n")
     with pytest.raises(MalformedHeader):
@@ -177,13 +180,14 @@ def test_y4m_malformed_headers_rejected():
 
 def test_y4m_malformed_frame_marker_after_good_frames_rejected():
     planes = [np.full((16, 16), v, dtype=np.uint8) for v in (1, 2)]
-    blob = encode_y4m(planes, 30) + b"FRAMX\n" + bytes(256)
-    with pytest.raises(MalformedHeader, match="expected FRAME marker"):
-        read_y4m(blob)
-    clip = stream_y4m(blob)
-    assert [int(p[0, 0]) for p in itertools.islice(clip, 2)] == [1, 2]
-    with pytest.raises(MalformedHeader, match="expected FRAME marker"):
-        next(iter(clip))
+    for marker in (b"FRAMX", b"FRAMES", b"FRAMEX Ixyz", b" FRAME"):
+        blob = encode_y4m(planes, 30) + marker + b"\n" + bytes(256)
+        with pytest.raises(MalformedHeader, match="expected FRAME marker"):
+            read_y4m(blob)
+        clip = stream_y4m(blob)
+        assert [int(p[0, 0]) for p in itertools.islice(clip, 2)] == [1, 2]
+        with pytest.raises(MalformedHeader, match="expected FRAME marker"):
+            next(iter(clip))
 
 
 def test_stream_y4m_reads_a_frame_only_when_iteration_reaches_it():

@@ -183,6 +183,18 @@ def test_trace_csv_round_trip():
     assert no_battery == [TracePoint(1, 77, None)]
 
 
+def test_load_trace_keeps_file_order():
+    text = ("segment_index,bandwidth_bps,battery_level\n"
+            "4,100,low\n"
+            "0,300,high\n"
+            "2,200,\n")
+    assert load_trace(io.StringIO(text)) == [
+        TracePoint(4, 100, BatteryLevel.LOW),
+        TracePoint(0, 300, BatteryLevel.HIGH),
+        TracePoint(2, 200, None),
+    ]
+
+
 def test_session_log_csv_output():
     manifest = _simple_manifest([EvsoLevel.BASELINE], segments=2)
     log = simulate_session(manifest, [],

@@ -277,19 +277,15 @@ def cmd_analyze(args, config: Config) -> int:
 
 def cmd_split(args, config: Config) -> int:
     """The schedule document without each chunk's sigma and rates."""
-    doc = _schedule_to_doc(_schedule(_obtain_series(args, config), args, config))
+    doc = _schedule_to_doc(fscheduler.schedule(
+        _obtain_series(args, config), args.gamma, config))
     doc["chunks"] = [{k: c[k] for k in ("start", "end")} for c in doc["chunks"]]
     _emit(args, _dump_json(doc))
     return 0
 
 
-def _schedule(series: DiffSeries, args, config: Config) -> fscheduler.RateSchedule:
-    """Split and rate a series at --gamma, or at the source rate without it."""
-    return fscheduler.schedule(series, gamma=args.gamma or None, config=config)
-
-
 def cmd_schedule(args, config: Config) -> int:
-    sched = _schedule(_obtain_series(args, config), args, config)
+    sched = fscheduler.schedule(_obtain_series(args, config), args.gamma, config)
     _emit(args, _dump_json(_schedule_to_doc(sched)))
     return 0
 
@@ -339,9 +335,12 @@ def _write_segments(directory: str, video: vprocessor.ProcessedVideo,
 
 def cmd_process(args, config: Config) -> int:
     from . import similarity, vprocessor
+    flat = args.profile in _FLAT_SHARES
+    if flat and args.gamma is not None:
+        raise EvsoError(f"--gamma has no effect on profile {args.profile}")
     sequence = _load_video(args)
-    sched = None if args.profile in _FLAT_SHARES else _schedule(
-        similarity.diff_series(sequence, config), args, config)
+    sched = None if flat else fscheduler.schedule(
+        similarity.diff_series(sequence, config), args.gamma, config)
     video = _variant(sequence, args.profile, sched)
     if args.mode == "hold":
         _write_bytes(args.out, vprocessor.hold_stream(video, sequence))
@@ -402,7 +401,8 @@ def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dic
     Returns the chunk count and each level's bandwidth.
     """
     from . import similarity, vprocessor
-    sched = _schedule(similarity.diff_series(sequence, config), args, config)
+    sched = fscheduler.schedule(similarity.diff_series(sequence, config),
+                                args.gamma, config)
 
     # Levels in order, each with the profile or flat share that makes it,
     # then the flat shares no level plays.
@@ -476,6 +476,8 @@ def cmd_pipeline(args, config: Config) -> int:
 
 def cmd_manifest(args, config: Config) -> int:
     if args.parse:
+        if args.dir:
+            raise EvsoError("give a pipeline output dir or --parse, not both")
         with open(args.parse, "rb") as fh:
             manifest = empd.parse_xml(fh.read())
         doc = {
@@ -535,7 +537,8 @@ def cmd_correlate(args, config: Config) -> int:
 def cmd_simulate(args, config: Config) -> int:
     with open(args.manifest, "rb") as fh:
         manifest = empd.parse_xml(fh.read())
-    trace = stream_sim.load_trace(args.trace)
+    with open(args.trace, "r", newline="") as fh:
+        trace = stream_sim.load_trace(fh)
     log = stream_sim.simulate_session(
         manifest, trace,
         default_battery=stream_sim.parse_battery(args.default_battery),
@@ -545,8 +548,7 @@ def cmd_simulate(args, config: Config) -> int:
 
 
 def cmd_serve(args, config: Config) -> int:
-    handle = stream_sim.serve(args.dir, host=args.host, port=args.port,
-                              manifest_name=args.manifest_name)
+    handle = stream_sim.serve(args.dir, host=args.host, port=args.port)
     # A server started in the background from a script inherits SIGINT
     # ignored, and service managers stop with SIGTERM: take both as the
     # request to close the server and exit cleanly.
@@ -655,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir", help="directory containing the manifest")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)
-    p.add_argument("--manifest-name", default="manifest.mpd")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("synth", help="generate a synthetic test video")

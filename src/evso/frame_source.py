@@ -13,7 +13,7 @@ import os
 import stat
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import BinaryIO, Iterator, Sequence, Union
+from typing import BinaryIO, Dict, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -260,9 +260,14 @@ def stream_raw_yuv(fh: BinaryIO, dims: FrameDims, fps: FpsLike,
 # Synthetic sequences
 # ---------------------------------------------------------------------------
 
-def _check_synth(count: int, **values: int) -> None:
-    """A synthetic clip has at least one frame, and 8-bit values in [0, 255]."""
-    for name, value in values.items():
+def _check_synth(count: int, byte_values: Dict[str, int], **others: int) -> None:
+    """A synthetic clip has at least one frame, no option true, false or a
+    float (Python would read true as 1 and 2.0 as 2), and 8-bit values in
+    [0, 255]."""
+    for name, value in {"count": count, **byte_values, **others}.items():
+        if isinstance(value, (bool, float, np.floating)):
+            raise BadSynthOption(f"{name} {value!r} is not an integer")
+    for name, value in byte_values.items():
         if not 0 <= value <= 255:
             raise BadSynthOption(f"{name} {value} outside [0, 255]")
     if count < 1:
@@ -272,7 +277,7 @@ def _check_synth(count: int, **values: int) -> None:
 def synth_static(dims: FrameDims, count: int, luma_value: int,
                  fps: FpsLike = 30) -> FrameSequence:
     """`count` identical frames filled with one luma value."""
-    _check_synth(count, luma_value=luma_value)
+    _check_synth(count, {"luma_value": luma_value})
     plane = np.full((dims.height, dims.width), luma_value, dtype=np.uint8)
     return FrameSequence(frames=(plane,) * count, fps=fps)
 
@@ -294,7 +299,8 @@ def synth_moving_block(dims: FrameDims, count: int, block_edge: int,
     frame, reflecting off the left/right borders so motion continues for any
     frame count. Fully deterministic.
     """
-    _check_synth(count, fg_luma=fg_luma, bg_luma=bg_luma)
+    _check_synth(count, {"fg_luma": fg_luma, "bg_luma": bg_luma},
+                 block_edge=block_edge, velocity=velocity_px_per_frame)
     if block_edge < 1:
         raise BadSynthOption("block_edge must be >= 1")
     if block_edge > min(dims.width, dims.height):
@@ -318,7 +324,7 @@ def synth_noise(dims: FrameDims, count: int, seed: int, amplitude: int,
     draws the whole clip as one uint8 block of shape (count, height, width),
     row-major, with each sample uniform on [0, amplitude].
     """
-    _check_synth(count, amplitude=amplitude)
+    _check_synth(count, {"amplitude": amplitude}, seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     block = rng.integers(0, amplitude + 1, size=(count, dims.height, dims.width),
                          dtype=np.uint8)

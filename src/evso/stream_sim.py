@@ -76,9 +76,7 @@ def select_representation(
     sets = manifest.video_sets()
     if not sets:
         raise NoVideoSets("manifest has no video adaptation sets")
-    by_level = {}
-    for aset in sets:
-        by_level.setdefault(aset.evso_level, aset)
+    by_level = {aset.evso_level: aset for aset in sets}
     desired = LEVEL_FOR_BATTERY[state.battery]
     chain = _FALLBACK_CHAIN[_FALLBACK_CHAIN.index(desired):]
     chosen = next((by_level[level] for level in chain if level in by_level),
@@ -104,17 +102,10 @@ class TracePoint(NamedTuple):
     battery: Optional[BatteryLevel] = None
 
 
-def load_trace(source: Union[str, os.PathLike, TextIO]) -> List[TracePoint]:
-    """Read a trace CSV with columns segment_index, bandwidth_bps and an
-    optional battery_level column. Rows come back in file order;
-    simulate_session orders them by segment index."""
-    if hasattr(source, "read"):
-        return _read_trace(source)
-    with open(source, "r", newline="") as fh:
-        return _read_trace(fh)
-
-
-def _read_trace(fh: TextIO) -> List[TracePoint]:
+def load_trace(fh: TextIO) -> List[TracePoint]:
+    """Read a trace CSV, opened as text with newline="", with columns
+    segment_index, bandwidth_bps and an optional battery_level column. Rows
+    come back in file order; simulate_session orders them by segment index."""
     points = []
     for row in csv.DictReader(fh):
         battery = row.get("battery_level")
@@ -243,10 +234,10 @@ class ServerHandle:
 
 
 def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
-          port: int = 0, manifest_name: str = "manifest.mpd") -> ServerHandle:
+          port: int = 0) -> ServerHandle:
     """Serve a segment tree read-only over HTTP/1.1 on a background thread.
 
-    The directory must already contain the manifest. Port 0 binds an
+    The directory must already hold manifest.mpd. Port 0 binds an
     ephemeral port; the handle reports the one chosen. Connections persist
     between requests; a path that is no readable file under the root gets a
     404.
@@ -255,8 +246,8 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     root = os.path.realpath(os.fspath(root_dir))
-    if not os.path.isfile(os.path.join(root, manifest_name)):
-        raise MissingManifest(f"{manifest_name} not found under {root}")
+    if not os.path.isfile(os.path.join(root, "manifest.mpd")):
+        raise MissingManifest(f"manifest.mpd not found under {root}")
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"  # every reply carries Content-Length
@@ -274,7 +265,7 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
             rel = urllib.parse.unquote(urllib.parse.urlparse(self.path).path)
             try:  # realpath raises ValueError on a NUL in the path
                 full = os.path.realpath(os.path.join(root, rel.lstrip("/")))
-                inside = full == root or full.startswith(root + os.sep)
+                inside = full.startswith(root + os.sep)
                 fh = open(full, "rb") if inside and os.path.isfile(full) else None
             except (OSError, ValueError):
                 fh = None

@@ -70,6 +70,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         cli.load_config(str(cfg))
 
 
+#: A corpus entry's keys for every kind, each at a valid value.
+_CORPUS_ENTRY = {"width": 32, "height": 32, "count": 4, "luma": 9,
+                 "block_edge": 8, "velocity": 2, "seed": 1}
+
+
 #: Config files that are not JSON objects or carry wrongly typed values.
 _BAD_CONFIGS = {"list": '[1]', "theta-str": '{"theta": "x"}',
                 "taus-int": '{"taus": 5}',
@@ -290,6 +295,21 @@ def test_bad_dims_is_a_usage_error(capsys):
         cli.main(["analyze", "clip.yuv", "--dims", "12xq", "--fps", "30"])
     assert exc.value.code == 2
     assert "bad dims" in capsys.readouterr().err
+
+
+def test_serve_has_no_manifest_name_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["serve", str(tmp_path), "--manifest-name", "x"])
+    assert exc.value.code == 2
+    assert "--manifest-name" in capsys.readouterr().err
+
+
+def test_simulate_of_a_missing_trace_prints_the_os_error(tmp_path, capsys):
+    mpd = tmp_path / "m.mpd"
+    mpd.write_text(_EMPTY_BASELINE_MPD)
+    missing = tmp_path / "no-such-trace.csv"
+    assert cli.main(["simulate", str(mpd), "--trace", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
 
 def test_synth_and_analyze_round_trip(tmp_path, capsys):
@@ -1321,10 +1341,30 @@ def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
           ("not-a-list", {"kind": "static"}),
           ("kind-mystery", [{"kind": "mystery"}]),
           ("static-only", [{"kind": "static", "width": 32, "height": 32,
-                            "count": 4, "luma": 9}]))],
+                            "count": 4, "luma": 9}]),
+          # Beside a static clip and a moving block, which correlate, so
+          # only the bad value can stop the command.
+          *[(f"{kind}-{key}-{value}".replace("_", "-"),
+             [{**_CORPUS_ENTRY, "kind": kind, key: value},
+              {**_CORPUS_ENTRY, "kind": "static"},
+              {**_CORPUS_ENTRY, "kind": "moving_block"}])
+            for kind, keys in (
+                ("static", ("count", "luma")),
+                ("moving_block", ("count", "block_edge", "velocity",
+                                  "fg_luma", "bg_luma")),
+                ("noise", ("count", "seed", "amplitude")))
+            for key in keys for value in (True, 1.5, 2.0)])],
     *[pytest.param({}, ["synth", "moving-block", "--dims", "96x64", "--count",
                         "3", flag, value, "--out", "bad.y4m"], id=f"synth-{flag[2:]}")
       for flag, value in (("--fg-luma", "300"), ("--block-edge", "-5"))],
+    pytest.param({}, ["schedule", "clip.y4m", "--gamma", ""], id="gamma-empty"),
+    pytest.param({"m.mpd": _one_representation_mpd('bandwidth="1"')},
+                 ["manifest", "no-such-dir", "--parse", "m.mpd"],
+                 id="manifest-dir-and-parse"),
+    *[pytest.param({}, ["process", "clip.y4m", "--profile", profile,
+                        "--gamma", "15", "--out", "segs"],
+                   id=f"process-{profile}-gamma")
+      for profile in ("baseline", "two_thirds")],
 ])
 def test_bad_input_prints_error_and_exits_1(tmp_path, monkeypatch, capsys,
                                             files, argv):

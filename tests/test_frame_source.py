@@ -544,3 +544,11 @@ def test_build_corpus_checks_every_rate_before_building_planes(monkeypatch):
 def test_build_corpus_rejects_malformed_documents(doc):
     with pytest.raises(MalformedDocument):
         build_corpus(doc)
+
+
+def test_synth_takes_numpy_integers_for_its_integer_options():
+    count, luma, edge, seed = np.int64(2), np.uint8(9), np.int32(8), np.int16(3)
+    assert (synth_static(FrameDims(16, 16), count, luma)[1] == 9).all()
+    assert len(synth_moving_block(FrameDims(32, 16), count, edge, np.int8(-4),
+                                  luma, np.uint16(200))) == 2
+    assert len(synth_noise(FrameDims(16, 16), count, seed, luma)) == 2

@@ -131,7 +131,7 @@ def _emit(args, text: str) -> None:
     if args.out:
         _write_bytes(args.out, text.encode("utf-8"))
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end="")
 
 
 def _parse_dims(text: str) -> FrameDims:
@@ -303,7 +303,7 @@ def _variant(sequence: FrameSequence, label: str,
     if label not in _FLAT_SHARES:
         return vprocessor.process(sequence, sched, label)
     video = vprocessor.decimate_uniform(
-        sequence, sequence.fps * _FLAT_SHARES[label], label)
+        sequence, sequence.fps * _FLAT_SHARES[label])
     if sched is None:
         return video
     return vprocessor.restrict_to_chunks(video, tuple(e.range for e in sched))
@@ -537,7 +537,7 @@ def cmd_correlate(args, config: Config) -> int:
 def cmd_simulate(args, config: Config) -> int:
     with open(args.manifest, "rb") as fh:
         manifest = empd.parse_xml(fh.read())
-    with open(args.trace, "r", newline="") as fh:
+    with open(args.trace, "r", encoding="utf-8-sig", newline="") as fh:
         trace = stream_sim.load_trace(fh)
     log = stream_sim.simulate_session(
         manifest, trace,

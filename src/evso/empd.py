@@ -62,20 +62,15 @@ class Representation:
 
 @dataclass(frozen=True)
 class AdaptationSet:
-    """Representations of one content type; video sets carry a level."""
+    """Video representations of one energy level."""
 
-    content_type: str
     representations: Tuple[Representation, ...]
     evso_level: EvsoLevel = EvsoLevel.BASELINE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "representations", tuple(self.representations))
-        if self.content_type not in ("video", "audio"):
-            raise ValueError(f"content_type {self.content_type!r}")
         if not self.representations:
-            raise InvariantViolation(
-                f"{self.content_type} adaptation set has no representations"
-            )
+            raise InvariantViolation("video adaptation set has no representations")
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,6 @@ class EmpdManifest:
         for p, period in enumerate(self.periods):
             seen = set()
             for aset in period.adaptation_sets:
-                if aset.content_type != "video":
-                    continue
                 if aset.evso_level in seen:
                     raise InvariantViolation(
                         f"period {p}: duplicate video level "
@@ -120,9 +113,8 @@ class EmpdManifest:
         return sum((p.duration_seconds for p in self.periods), Fraction(0))
 
     def video_sets(self) -> Tuple[AdaptationSet, ...]:
-        """The video sets of the first period, the one a session plays."""
-        return tuple(a for a in self.periods[0].adaptation_sets
-                     if a.content_type == "video")
+        """The sets of the first period, the one a session plays."""
+        return self.periods[0].adaptation_sets
 
 
 def build_manifest(chunk_count: int, duration_seconds: Union[Fraction, int],
@@ -148,7 +140,6 @@ def build_manifest(chunk_count: int, duration_seconds: Union[Fraction, int],
                 f"{chunk_count}"
             )
         sets.append(AdaptationSet(
-            content_type="video",
             evso_level=level,
             representations=(Representation(
                 id=level.value, bandwidth=int(bandwidth_by_level[level]),
@@ -186,10 +177,8 @@ def serialize_xml(manifest: EmpdManifest) -> bytes:
             "duration": f"PT{_fmt_seconds(period.duration_seconds)}S",
         })
         for aset in period.adaptation_sets:
-            attrs = {"contentType": aset.content_type}
-            if aset.content_type == "video":
-                attrs["EVSOLevel"] = aset.evso_level.value
-            a_el = ET.SubElement(p_el, "AdaptationSet", attrs)
+            a_el = ET.SubElement(p_el, "AdaptationSet", {
+                "contentType": "video", "EVSOLevel": aset.evso_level.value})
             for rep in aset.representations:
                 r_attrs = {"id": rep.id, "bandwidth": str(rep.bandwidth)}
                 if rep.width is not None:
@@ -235,17 +224,15 @@ def _parse_representation(node: ET.Element, fallback_id: str) -> Representation:
 
 
 def _parse_adaptation_set(node: ET.Element) -> Optional[AdaptationSet]:
-    content_type = node.get("contentType") or "video"
-    if content_type not in ("video", "audio"):
+    if (node.get("contentType") or "video") != "video":
         return None
     level = EvsoLevel.BASELINE
-    if content_type == "video":
-        raw = node.get("EVSOLevel")
-        if raw is not None:
-            try:
-                level = EvsoLevel(raw.lower())
-            except ValueError:
-                raise InvariantViolation(f"unknown EVSOLevel {raw!r}") from None
+    raw = node.get("EVSOLevel")
+    if raw is not None:
+        try:
+            level = EvsoLevel(raw.lower())
+        except ValueError:
+            raise InvariantViolation(f"unknown EVSOLevel {raw!r}") from None
     reps = tuple(
         _parse_representation(child, f"rep{i}")
         for i, child in enumerate(node)
@@ -253,15 +240,14 @@ def _parse_adaptation_set(node: ET.Element) -> Optional[AdaptationSet]:
     )
     if not reps:
         return None
-    return AdaptationSet(content_type=content_type, representations=reps,
-                         evso_level=level)
+    return AdaptationSet(representations=reps, evso_level=level)
 
 
 def parse_xml(data: Union[bytes, str]) -> EmpdManifest:
     """Parse extended or stock DASH XML, matching elements by local name.
 
-    Video sets without an EVSOLevel attribute become baseline; adaptation
-    sets with foreign content types or no representations are skipped.
+    Video sets without an EVSOLevel attribute become baseline; sets whose
+    contentType is not video, or that hold no representations, are skipped.
     A bad or out-of-range value, such as bandwidth="zz" or "-5", raises
     MalformedXml.
     """

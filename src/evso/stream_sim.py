@@ -110,11 +110,14 @@ def load_trace(fh: TextIO) -> List[TracePoint]:
     for row in csv.DictReader(fh):
         battery = row.get("battery_level")
         try:
-            points.append(TracePoint(
+            point = TracePoint(
                 segment_index=int(row["segment_index"]),
                 bandwidth_bps=int(row["bandwidth_bps"]),
                 battery=parse_battery(battery) if battery else None,
-            ))
+            )
+            if point.segment_index < 0 or point.bandwidth_bps < 0:
+                raise ValueError("negative segment_index or bandwidth_bps")
+            points.append(point)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedDocument(f"not a trace CSV: {exc!r}") from None
     return points

@@ -68,7 +68,6 @@ class ProcessedChunk:
 class ProcessedVideo:
     """All chunks of one sequence retimed under one profile."""
 
-    label: str
     chunks: Tuple[ProcessedChunk, ...]
     frame_count: int
     fps: Fraction
@@ -109,7 +108,7 @@ def _check_sequence(sequence: FrameSequence, frame_count: int,
         )
 
 
-def _retime(sequence: FrameSequence, label: str,
+def _retime(sequence: FrameSequence,
             targets: Iterable[Tuple[ChunkRange, FpsLike]]) -> ProcessedVideo:
     """Retime each (range, target rate) of a sequence as one chunk."""
     chunks = []
@@ -120,8 +119,8 @@ def _retime(sequence: FrameSequence, label: str,
             range=rng, target_rate=target,
             kept_indices=tuple(rng.start + t for t in local),
         ))
-    return ProcessedVideo(label=label, chunks=tuple(chunks),
-                          frame_count=len(sequence), fps=sequence.fps)
+    return ProcessedVideo(chunks=tuple(chunks), frame_count=len(sequence),
+                          fps=sequence.fps)
 
 
 def process(sequence: FrameSequence, rate_schedule: RateSchedule,
@@ -130,16 +129,14 @@ def process(sequence: FrameSequence, rate_schedule: RateSchedule,
     _check_sequence(sequence, rate_schedule.frame_count, rate_schedule.fps)
     if any(profile_name not in entry.rates for entry in rate_schedule):
         raise ScheduleMismatch(f"schedule has no profile {profile_name!r}")
-    return _retime(sequence, profile_name,
-                   ((entry.range, entry.rates[profile_name])
-                    for entry in rate_schedule))
+    return _retime(sequence, ((entry.range, entry.rates[profile_name])
+                              for entry in rate_schedule))
 
 
-def decimate_uniform(sequence: FrameSequence, target_rate: FpsLike,
-                     label: str = "baseline") -> ProcessedVideo:
+def decimate_uniform(sequence: FrameSequence,
+                     target_rate: FpsLike) -> ProcessedVideo:
     """Retime a whole sequence as a single chunk at one flat rate."""
-    return _retime(sequence, label,
-                   [(ChunkRange(0, len(sequence)), target_rate)])
+    return _retime(sequence, [(ChunkRange(0, len(sequence)), target_rate)])
 
 
 def restrict_to_chunks(video: ProcessedVideo,
@@ -152,8 +149,8 @@ def restrict_to_chunks(video: ProcessedVideo,
             range=rng, target_rate=video.chunks[0].target_rate,
             kept_indices=tuple(i for i in range(rng.start, rng.end) if i in kept),
         ))
-    return ProcessedVideo(label=video.label, chunks=tuple(chunks),
-                          frame_count=video.frame_count, fps=video.fps)
+    return ProcessedVideo(chunks=tuple(chunks), frame_count=video.frame_count,
+                          fps=video.fps)
 
 
 def segment_streams(video: ProcessedVideo,

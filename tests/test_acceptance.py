@@ -294,8 +294,7 @@ def test_criterion_08_quality_beats_uniform_decimation():
                                                    (103, 150)]
 
         scheduled = vprocessor.process(seq, sched, "evso_plus_plus")
-        uniform = vprocessor.decimate_uniform(
-            seq, seq.fps * Fraction(2, 3), "two_thirds")
+        uniform = vprocessor.decimate_uniform(seq, seq.fps * Fraction(2, 3))
         assert uniform.avg_frame_rate == pytest.approx(20.0, abs=1e-9)
         assert scheduled.avg_frame_rate <= uniform.avg_frame_rate
 
@@ -328,15 +327,8 @@ def _random_manifest(rnd):
                     height=rnd.randint(16, 2160) if has_dims else None,
                     mime_type=rnd.choice(mimes),
                 ))
-            sets.append(AdaptationSet(content_type="video",
-                                      evso_level=level,
+            sets.append(AdaptationSet(evso_level=level,
                                       representations=tuple(reps)))
-        if rnd.random() < 0.3:
-            sets.append(AdaptationSet(
-                content_type="audio",
-                representations=(Representation(
-                    id="aud", bandwidth=rnd.randint(1, 10 ** 5),
-                    segment_urls=("a0.mp4",), mime_type="audio/mp4"),)))
         duration = Fraction(rnd.randint(0, 10 ** 4),
                             rnd.choice([1, 2, 4, 5, 8, 10, 16, 20, 25]))
         periods.append(Period(duration_seconds=duration,

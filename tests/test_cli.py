@@ -1278,6 +1278,77 @@ def test_simulate_plays_longest_representation_when_first_is_empty(
     assert [row.split(",")[0] for row in rows] == ["0", "1"]
 
 
+#: A stock two-period manifest with audio sets before, between and after its
+#: video sets; the first period holds three, one of them with an EVSOLevel.
+_AUDIO_MPD = """<MPD xmlns="urn:mpeg:dash:schema:mpd:2011" type="static">
+<Period duration="PT4S">
+  <AdaptationSet contentType="audio">
+    <Representation id="a0" bandwidth="64000" mimeType="audio/mp4"><SegmentList>
+      <SegmentURL media="a0.m4s"/><SegmentURL media="a1.m4s"/>
+    </SegmentList></Representation></AdaptationSet>
+  <AdaptationSet contentType="video" EVSOLevel="baseline">
+    <Representation id="b" bandwidth="900000"><SegmentList>
+      <SegmentURL media="b0.m4s"/><SegmentURL media="b1.m4s"/>
+      <SegmentURL media="b2.m4s"/>
+    </SegmentList></Representation></AdaptationSet>
+  <AdaptationSet contentType="audio" EVSOLevel="low">
+    <Representation id="a1" bandwidth="32000" mimeType="audio/mp4"><SegmentList>
+      <SegmentURL media="x0.m4s"/></SegmentList></Representation></AdaptationSet>
+  <AdaptationSet contentType="video" EVSOLevel="low">
+    <Representation id="l" bandwidth="300000"><SegmentList>
+      <SegmentURL media="l0.m4s"/><SegmentURL media="l1.m4s"/>
+      <SegmentURL media="l2.m4s"/>
+    </SegmentList></Representation></AdaptationSet>
+  <AdaptationSet contentType="audio">
+    <Representation id="a2" bandwidth="32000" mimeType="audio/mp4"><SegmentList>
+      <SegmentURL media="y0.m4s"/></SegmentList></Representation></AdaptationSet>
+</Period>
+<Period duration="PT2S">
+  <AdaptationSet contentType="audio">
+    <Representation id="a3" bandwidth="64000" mimeType="audio/mp4"/>
+  </AdaptationSet>
+  <AdaptationSet contentType="video">
+    <Representation id="v" bandwidth="500000"><SegmentList>
+      <SegmentURL media="v0.m4s"/></SegmentList></Representation></AdaptationSet>
+</Period></MPD>"""
+
+_AUDIO_TRACE = ("segment_index,bandwidth_bps,battery_level\n"
+                "0,1000000,charging_or_full\n1,100000,low\n2,500000,medium\n")
+
+
+def test_manifest_parse_and_simulate_ignore_audio_sets(tmp_path, capsys):
+    (tmp_path / "m.mpd").write_text(_AUDIO_MPD)
+    (tmp_path / "trace.csv").write_text(_AUDIO_TRACE)
+    assert cli.main(["manifest", "--parse", str(tmp_path / "m.mpd")]) == 0
+    assert capsys.readouterr().out == json.dumps({
+        "duration_seconds": 6.0, "periods": 2, "video_sets": [
+            {"level": "baseline", "representations": [
+                {"id": "b", "bandwidth": 900000, "segments": 3}]},
+            {"level": "low", "representations": [
+                {"id": "l", "bandwidth": 300000, "segments": 3}]}]},
+        indent=2) + "\n"
+    assert cli.main(["simulate", str(tmp_path / "m.mpd"),
+                     "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert capsys.readouterr().out == (
+        "segment_index,battery_level,bandwidth_bps,selected_level,"
+        "representation_id,segment_url\r\n"
+        "0,charging_or_full,1000000,baseline,b,b0.m4s\r\n"
+        "1,low,100000,low,l,l1.m4s\r\n"
+        "2,medium,500000,baseline,b,b2.m4s\r\n")
+
+
+def test_simulate_reads_a_trace_with_a_byte_order_mark(tmp_path, capsys):
+    (tmp_path / "m.mpd").write_text(_AUDIO_MPD)
+    outs = []
+    for name, head in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+        (tmp_path / name).write_bytes(head + _AUDIO_TRACE.encode())
+        assert cli.main(["simulate", str(tmp_path / "m.mpd"),
+                         "--trace", str(tmp_path / name)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 4
+
+
 def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
                                                              capsys):
     path = tmp_path / "huge.y4m"
@@ -1311,6 +1382,12 @@ def test_analyze_of_a_frame_larger_than_its_file_prints_error(tmp_path,
                                "0,1000,low\n"},
                  ["simulate", "m.mpd", "--trace", "trace.csv"],
                  id="empty-set"),
+    *[pytest.param({"m.mpd": _one_representation_mpd('bandwidth="1"'),
+                    "trace.csv": "segment_index,bandwidth_bps,battery_level\n"
+                                 f"{row}\n"},
+                   ["simulate", "m.mpd", "--trace", "trace.csv"],
+                   id=f"trace-negative-{name}")
+      for name, row in (("bandwidth", "0,-5,low"), ("index", "-3,100,"))],
     pytest.param({"manifest.mpd": "<MPD/>"}, ["serve", ".", "--port", "70000"],
                  id="port"),
     pytest.param({"a.json": json.dumps({

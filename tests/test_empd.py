@@ -24,7 +24,7 @@ def _rep(rep_id="r1", urls=("seg0.y4m", "seg1.y4m"), bandwidth=1000, **kw):
 
 def _manifest(levels=(EvsoLevel.BASELINE, EvsoLevel.LOW)):
     sets = tuple(
-        AdaptationSet(content_type="video", evso_level=level,
+        AdaptationSet(evso_level=level,
                       representations=(_rep(rep_id=level.value),))
         for level in levels
     )
@@ -54,7 +54,7 @@ def test_serialization_is_byte_stable():
 
 def test_duplicate_video_level_rejected():
     sets = tuple(
-        AdaptationSet(content_type="video", evso_level=EvsoLevel.HIGH,
+        AdaptationSet(evso_level=EvsoLevel.HIGH,
                       representations=(_rep(rep_id=f"r{i}"),))
         for i in range(2)
     )
@@ -63,25 +63,12 @@ def test_duplicate_video_level_rejected():
             Period(duration_seconds=Fraction(1), adaptation_sets=sets),))
 
 
-def test_audio_sets_may_repeat():
-    sets = tuple(
-        AdaptationSet(content_type="audio",
-                      representations=(_rep(rep_id=f"a{i}"),))
-        for i in range(2)
-    )
-    manifest = EmpdManifest(periods=(
-        Period(duration_seconds=Fraction(1), adaptation_sets=sets),))
-    assert parse_xml(serialize_xml(manifest)) == manifest
-
-
 def test_empty_adaptation_set_rejected():
     with pytest.raises(InvariantViolation):
-        AdaptationSet(content_type="video", representations=())
+        AdaptationSet(representations=())
 
 
-def test_foreign_content_type_and_empty_manifest_rejected():
-    with pytest.raises(ValueError, match="content_type"):
-        AdaptationSet(content_type="text", representations=(_rep(),))
+def test_empty_manifest_rejected():
     with pytest.raises(ValueError, match="at least one period"):
         EmpdManifest(periods=())
 
@@ -126,6 +113,9 @@ def test_plain_dash_without_level_parses_as_baseline():
         </AdaptationSet>
         <AdaptationSet contentType="application">
           <Representation id="x" bandwidth="1"/>
+        </AdaptationSet>
+        <AdaptationSet contentType="audio">
+          <Representation id="a" bandwidth="1"/>
         </AdaptationSet>
       </Period>
     </MPD>"""
@@ -207,7 +197,6 @@ def test_duration_serialization_is_exact_for_terminating_decimals():
         manifest = EmpdManifest(periods=(
             Period(duration_seconds=seconds,
                    adaptation_sets=(AdaptationSet(
-                       content_type="video",
                        representations=(_rep(),)),)),))
         data = serialize_xml(manifest)
         assert b'duration="' + text + b'"' in data
@@ -221,8 +210,7 @@ def test_duration_serialization_is_exact_for_terminating_decimals():
 def test_duration_serialization_is_exact_beyond_28_digits(seconds, text):
     manifest = EmpdManifest(periods=(Period(
         duration_seconds=seconds,
-        adaptation_sets=(AdaptationSet(content_type="video",
-                                       representations=(_rep(),)),)),))
+        adaptation_sets=(AdaptationSet(representations=(_rep(),)),)),))
     data = serialize_xml(manifest)
     assert f'duration="PT{text}S"'.encode() in data
     assert parse_xml(data).periods[0].duration_seconds == seconds

@@ -17,10 +17,12 @@ from evso.empd import (
     EvsoLevel,
     Period,
     Representation,
+    parse_xml,
 )
 from evso.errors import (
     BindFailure,
     InvariantViolation,
+    MalformedDocument,
     MissingManifest,
     NoVideoSets,
 )
@@ -41,8 +43,7 @@ from evso.stream_sim import (
 
 
 def _video_set(level, reps):
-    return AdaptationSet(content_type="video", evso_level=level,
-                         representations=tuple(reps))
+    return AdaptationSet(evso_level=level, representations=tuple(reps))
 
 
 def _manifest(sets):
@@ -99,10 +100,11 @@ def test_selection_falls_back_to_milder_levels():
 
 
 def test_selection_requires_video_sets():
-    audio = _manifest([AdaptationSet(
-        content_type="audio",
-        representations=(Representation(id="a", bandwidth=1,
-                                        segment_urls=("a0",)),))])
+    audio = parse_xml(
+        '<MPD><Period duration="PT2S"><AdaptationSet contentType="audio">'
+        '<Representation id="a" bandwidth="1"><SegmentList>'
+        '<SegmentURL media="a0"/></SegmentList></Representation>'
+        '</AdaptationSet></Period></MPD>')
     with pytest.raises(NoVideoSets):
         select_representation(audio, ClientState(1, BatteryLevel.HIGH))
     with pytest.raises(NoVideoSets):
@@ -193,6 +195,13 @@ def test_load_trace_keeps_file_order():
         TracePoint(0, 300, BatteryLevel.HIGH),
         TracePoint(2, 200, None),
     ]
+
+
+@pytest.mark.parametrize("row", ["0,-5,low", "-3,100,"])
+def test_load_trace_refuses_negative_values(row):
+    with pytest.raises(MalformedDocument, match="negative"):
+        load_trace(io.StringIO(
+            f"segment_index,bandwidth_bps,battery_level\n1,100,\n{row}\n"))
 
 
 def test_session_log_csv_output():

@@ -122,10 +122,9 @@ def test_decimate_uniform_rates():
     full = decimate_uniform(seq, seq.fps)
     assert full.kept_count == 300
     assert full.avg_frame_rate == 30.0
-    two_thirds = decimate_uniform(seq, seq.fps * Fraction(2, 3), "two_thirds")
+    two_thirds = decimate_uniform(seq, seq.fps * Fraction(2, 3))
     assert two_thirds.kept_count == 200
     assert two_thirds.avg_frame_rate == 20.0
-    assert two_thirds.label == "two_thirds"
 
 
 def test_restrict_to_chunks_partitions_kept_frames():
@@ -153,13 +152,13 @@ def test_segment_streams_round_trip():
 
 
 def test_held_shows_first_frame_until_a_kept_one_in_any_chunk_order():
-    video = ProcessedVideo(label="hand", frame_count=10, fps=Fraction(30),
+    video = ProcessedVideo(frame_count=10, fps=Fraction(30),
                            chunks=(ProcessedChunk(ChunkRange(5, 10),
                                                   Fraction(10), (7,)),
                                    ProcessedChunk(ChunkRange(0, 5),
                                                   Fraction(10), (2, 4))))
     assert video.held == (0, 0, 2, 2, 4, 4, 4, 7, 7, 7)
-    assert ProcessedVideo(label="none", chunks=(), frame_count=3,
+    assert ProcessedVideo(chunks=(), frame_count=3,
                           fps=Fraction(30)).held == (0, 0, 0)
 
 

@@ -24,19 +24,20 @@ from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import empd, fscheduler, stream_sim
-from .empd import EvsoLevel
+from . import fscheduler
 from .errors import ChunkTooSmall, EvsoError, MalformedDocument
 from .fscheduler import (PROFILE_FACTORS, Config, DiffSeries, FrameDims,
                          PairDiff, as_fps)
 
 if TYPE_CHECKING:
-    from . import vprocessor
+    from . import empd, vprocessor
     from .frame_source import FrameSequence, FrameStream
 
 # The modules above are numpy-free; frame_source, similarity and vprocessor
-# are imported only by the functions that read or write planes. No command
-# makes a BLAS call, yet OpenBLAS starts a thread per core when numpy loads.
+# are imported only by the functions that read or write planes, and empd
+# (xml.etree) and stream_sim (csv) only by those that read or write a
+# manifest. No command makes a BLAS call, yet OpenBLAS starts a thread per
+# core when numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
@@ -367,11 +368,11 @@ def _tree_manifest(root: str,
     bandwidth comes from the files' total size over the clip duration, and
     the frame size from the first segment's header.
     """
-    from . import frame_source
-    urls: Dict[EvsoLevel, List[str]] = {}
-    bandwidths: Dict[EvsoLevel, int] = {}
+    from . import empd, frame_source
+    urls: Dict[empd.EvsoLevel, List[str]] = {}
+    bandwidths: Dict[empd.EvsoLevel, int] = {}
     dims: Optional[FrameDims] = None
-    for level in EvsoLevel:
+    for level in empd.EvsoLevel:
         level_dir = os.path.join(root, "segments", level.value)
         if not os.path.isdir(level_dir):
             continue
@@ -400,14 +401,14 @@ def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dic
 
     Returns the chunk count and each level's bandwidth.
     """
-    from . import similarity, vprocessor
+    from . import empd, similarity, vprocessor
     sched = fscheduler.schedule(similarity.diff_series(sequence, config),
                                 args.gamma, config)
 
     # Levels in order, each with the profile or flat share that makes it,
     # then the flat shares no level plays.
     levels = {level.value: empd.PROFILE_FOR_LEVEL[level] or level.value
-              for level in EvsoLevel}
+              for level in empd.EvsoLevel}
     report: Dict[str, dict] = {}
     memo: Dict[Tuple[int, int], float] = {}  # variants share held frames
     for label in dict.fromkeys([*levels, *_FLAT_SHARES]):
@@ -475,6 +476,7 @@ def cmd_pipeline(args, config: Config) -> int:
 
 
 def cmd_manifest(args, config: Config) -> int:
+    from . import empd
     if args.parse:
         if args.dir:
             raise EvsoError("give a pipeline output dir or --parse, not both")
@@ -535,6 +537,7 @@ def cmd_correlate(args, config: Config) -> int:
 
 
 def cmd_simulate(args, config: Config) -> int:
+    from . import empd, stream_sim
     with open(args.manifest, "rb") as fh:
         manifest = empd.parse_xml(fh.read())
     with open(args.trace, "r", encoding="utf-8-sig", newline="") as fh:
@@ -548,6 +551,7 @@ def cmd_simulate(args, config: Config) -> int:
 
 
 def cmd_serve(args, config: Config) -> int:
+    from . import stream_sim
     handle = stream_sim.serve(args.dir, host=args.host, port=args.port)
     # A server started in the background from a script inherits SIGINT
     # ignored, and service managers stop with SIGTERM: take both as the

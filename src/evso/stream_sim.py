@@ -13,6 +13,7 @@ import csv
 import io
 import os
 import threading
+import time
 import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,7 +25,7 @@ from .errors import (BindFailure, InvariantViolation, MalformedDocument,
                      MissingManifest, NoVideoSets)
 
 if TYPE_CHECKING:
-    from http.server import ThreadingHTTPServer
+    from socketserver import ThreadingTCPServer
 
 
 class BatteryLevel(Enum):
@@ -205,6 +206,9 @@ _CONTENT_TYPES = {
     ".csv": "text/csv",
 }
 
+#: Longest request or header line the server reads, without its line end.
+_MAX_LINE = 65536
+
 
 @dataclass
 class ServerHandle:
@@ -214,7 +218,7 @@ class ServerHandle:
     host: str
     port: int
     root: str
-    _server: ThreadingHTTPServer
+    _server: ThreadingTCPServer
     _thread: threading.Thread
     served: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(
         ("connections", "requests", "not_found", "bytes_sent"), 0))
@@ -241,32 +245,70 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
     """Serve a segment tree read-only over HTTP/1.1 on a background thread.
 
     The directory must already hold manifest.mpd. Port 0 binds an
-    ephemeral port; the handle reports the one chosen. Connections persist
-    between requests; a path that is no readable file under the root gets a
-    404.
+    ephemeral port; the handle reports the one chosen. A path that is no
+    readable file under the root gets a 404. A connection persists between
+    requests, after a 404 too, unless the client speaks HTTP/1.0 or sends
+    Connection: close. A method other than GET gets a 501, and a request it
+    cannot parse a 400, 414 or 431; each of these closes the connection.
     """
     # Imported here, so the commands that only read manifests never load it.
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+    import socketserver
 
     root = os.path.realpath(os.fspath(root_dir))
     if not os.path.isfile(os.path.join(root, "manifest.mpd")):
         raise MissingManifest(f"manifest.mpd not found under {root}")
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"  # every reply carries Content-Length
+    class Handler(socketserver.StreamRequestHandler):
         disable_nagle_algorithm = True  # else a body waits on a delayed ACK
 
-        def setup(self) -> None:
-            super().setup()
+        def handle(self) -> None:
             with handle._lock:
                 handle.served["connections"] += 1
+            try:  # a client that hangs up, even mid-reply, is normal traffic
+                while self._answer():
+                    pass
+            except ConnectionError:
+                pass
 
-        def do_GET(self) -> None:  # noqa: N802 (http.server API name)
-            if not handle._thread.is_alive():  # closed: just hang up
-                self.close_connection = True
-                return
-            rel = urllib.parse.unquote(urllib.parse.urlparse(self.path).path)
-            try:  # realpath raises ValueError on a NUL in the path
+        def _head(self, status: str, size: int = 0, close: bool = True,
+                  ctype: Optional[str] = None) -> bool:
+            """Send a status line and headers; whether the connection stays."""
+            date = time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime())
+            self.wfile.write((
+                f"HTTP/1.1 {status}\r\nServer: evso\r\nDate: {date}\r\n"
+                + (f"Content-Type: {ctype}\r\n" if ctype else "")
+                + f"Content-Length: {size}\r\n"
+                + ("Connection: close\r\n\r\n" if close else "\r\n")
+            ).encode("latin-1"))
+            return not close
+
+        def _answer(self) -> bool:
+            """Read and answer one request; whether the connection stays."""
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if not line or not handle._thread.is_alive():  # closed: hang up
+                return False
+            if len(line) > _MAX_LINE:
+                return self._head("414 URI Too Long")
+            words = line.split()
+            if len(words) != 3 or words[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
+                return self._head("400 Bad Request")
+            close = words[2] == b"HTTP/1.0"
+            while (line := self.rfile.readline(_MAX_LINE + 1)) not in (
+                    b"\r\n", b"\n", b""):
+                if len(line) > _MAX_LINE:
+                    return self._head("431 Request Header Fields Too Large")
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"connection":
+                    close |= value.strip().lower() == b"close"
+            if not line:
+                return False
+            if words[0] != b"GET":
+                return self._head("501 Not Implemented")
+            target = words[1].decode("latin-1")
+            if target.startswith("//"):  # a path, not a network location
+                target = "/" + target.lstrip("/")
+            try:  # urlparse raises ValueError on a bad host, realpath on a NUL
+                rel = urllib.parse.unquote(urllib.parse.urlparse(target).path)
                 full = os.path.realpath(os.path.join(root, rel.lstrip("/")))
                 inside = full.startswith(root + os.sep)
                 fh = open(full, "rb") if inside and os.path.isfile(full) else None
@@ -276,29 +318,26 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
                 handle.served["requests"] += 1
                 handle.served["not_found"] += fh is None
             if fh is None:
-                self.send_error(404, "not found")
-                return
+                return self._head("404 Not Found", close=close)
             with fh:
                 size = os.fstat(fh.fileno()).st_size
                 ext = os.path.splitext(full)[1].lower()
-                self.send_response(200)
-                self.send_header("Content-Type",
-                                 _CONTENT_TYPES.get(ext, "application/octet-stream"))
-                self.send_header("Content-Length", str(size))
-                try:  # a client that hangs up mid-reply is normal traffic
-                    self.end_headers()
-                    self.connection.sendfile(fh, 0, size)
-                except ConnectionError:
-                    self.close_connection = True
-                sent = fh.tell()  # sendfile seeks past what it sent, even on error
-            with handle._lock:
-                handle.served["bytes_sent"] += sent
+                try:
+                    self._head("200 OK", size, close,
+                               _CONTENT_TYPES.get(ext, "application/octet-stream"))
+                    if size:  # sendfile refuses a count of 0
+                        self.connection.sendfile(fh, 0, size)
+                finally:  # sendfile seeks past what it sent, even on error
+                    with handle._lock:
+                        handle.served["bytes_sent"] += fh.tell()
+            return not close
 
-        def log_message(self, fmt: str, *args) -> None:
-            pass
+    class Server(socketserver.ThreadingTCPServer):
+        allow_reuse_address = True
+        daemon_threads = True
 
     try:
-        server = ThreadingHTTPServer((host, port), Handler)
+        server = Server((host, port), Handler)
     except (OSError, OverflowError) as exc:
         raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
     # close() waits for serve_forever's next poll, so poll often.

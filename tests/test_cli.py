@@ -166,8 +166,24 @@ def _run_cold(code, **env_vars):
     pytest.param("import sys, evso.empd\n"
                  "assert 'numpy' not in sys.modules", id="empd"),
     pytest.param("import sys, evso.cli\n"
-                 "assert 'numpy' not in sys.modules\n"
-                 "assert 'http.server' not in sys.modules", id="cli"),
+                 "loaded = [m for m in ('numpy', 'evso.empd', 'evso.stream_sim',"
+                 " 'xml.etree', 'socketserver', 'http.server')"
+                 " if m in sys.modules]\n"
+                 "assert not loaded, loaded", id="cli"),
+    pytest.param("import os, socket, sys, tempfile\n"
+                 "from evso import stream_sim\n"
+                 "with tempfile.TemporaryDirectory() as root:\n"
+                 "    with open(os.path.join(root, 'manifest.mpd'), 'wb') as fh:\n"
+                 "        fh.write(b'<MPD/>')\n"
+                 "    with stream_sim.serve(root) as handle:\n"
+                 "        sock = socket.create_connection((handle.host, handle.port))\n"
+                 "        sock.sendall(b'GET /manifest.mpd HTTP/1.0\\r\\n\\r\\n')\n"
+                 "        reply = b''.join(iter(lambda: sock.recv(4096), b''))\n"
+                 "        sock.close()\n"
+                 "assert reply.startswith(b'HTTP/1.1 200 '), reply\n"
+                 "assert reply.endswith(b'\\r\\n\\r\\n<MPD/>'), reply\n"
+                 "loaded = [m for m in ('http.server', 'email') if m in sys.modules]\n"
+                 "assert not loaded, loaded", id="serve"),
     pytest.param("import evso\nassert not hasattr(evso, 'nope')",
                  id="unknown-name"),
 ])
@@ -194,6 +210,22 @@ def test_commands_that_touch_no_plane_load_no_numpy(tmp_path):
               f"assert cli.main(['split', '--analysis', {analysis!r}]) == 0\n"
               f"assert cli.main(['schedule', '--analysis', {analysis!r}]) == 0\n"
               "loaded = [m for m in ('numpy', 'http.server') if m in sys.modules]\n"
+              "assert not loaded, loaded")
+
+
+def test_commands_that_touch_no_manifest_load_no_xml_or_csv(tmp_path):
+    clip = str(_synth_clip(tmp_path))
+    analysis = str(tmp_path / "a.json")
+    out = str(tmp_path / "chunks")
+    _run_cold("import sys\n"
+              "from evso import cli\n"
+              "assert cli.main(['--show-config']) == 0\n"
+              f"assert cli.main(['analyze', {clip!r}, '--out', {analysis!r}]) == 0\n"
+              f"assert cli.main(['split', '--analysis', {analysis!r}]) == 0\n"
+              f"assert cli.main(['schedule', {clip!r}]) == 0\n"
+              f"assert cli.main(['process', {clip!r}, '--profile', 'evso',"
+              f" '--out', {out!r}]) == 0\n"
+              "loaded = [m for m in ('xml.etree', 'csv') if m in sys.modules]\n"
               "assert not loaded, loaded")
 
 

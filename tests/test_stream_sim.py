@@ -304,8 +304,160 @@ def test_serve_answers_on_a_kept_connection_after_a_404(tmp_path):
             assert _get(conn, "manifest.mpd") == (200, b"<MPD/>")
         finally:
             conn.close()
+    assert conn.opened == 1
+    assert handle.served["connections"] == 1
     assert handle.served["requests"] == 2
     assert handle.served["not_found"] == 1
+
+
+def test_serve_refuses_a_symlink_that_leads_outside(tmp_path):
+    (tmp_path / "root").mkdir()
+    root = _tree(tmp_path / "root")
+    (tmp_path / "outside.txt").write_text("secret")
+    (root / "segments" / "link.y4m").symlink_to(tmp_path / "outside.txt")
+    with serve(root) as handle:
+        conn = CountingConnection(handle.host, handle.port, timeout=5)
+        try:
+            assert _get(conn, "segments/link.y4m")[0] == 404
+        finally:
+            conn.close()
+
+
+def test_serve_follows_a_symlink_that_stays_inside(tmp_path):
+    root = _tree(tmp_path)
+    (root / "segments" / "link.y4m").symlink_to(root / "segments" / "chunk_000.y4m")
+    with serve(root) as handle:
+        conn = CountingConnection(handle.host, handle.port, timeout=5)
+        try:
+            assert _get(conn, "segments/link.y4m") == (200, b"payload-bytes")
+        finally:
+            conn.close()
+
+
+def test_serve_sends_an_empty_file_and_keeps_the_connection(tmp_path, capfd):
+    root = _tree(tmp_path)
+    (root / "empty.csv").write_bytes(b"")
+    with serve(root) as handle:
+        conn = CountingConnection(handle.host, handle.port, timeout=5)
+        try:
+            assert _get(conn, "empty.csv") == (200, b"")
+            assert _get(conn, "manifest.mpd") == (200, b"<MPD/>")
+        finally:
+            conn.close()
+    assert conn.opened == 1
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def _raw(handle, data):
+    """Send data on a new connection; read until the server closes it."""
+    chunks = []
+    with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # closed with some of data unread
+            pass
+    return b"".join(chunks)
+
+
+def _replies(data):
+    """(status line, header lines, body) of each reply in a byte stream."""
+    replies = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status, *headers = head.split(b"\r\n")
+        length = next(int(h.split(b":")[1]) for h in headers
+                      if h.lower().startswith(b"content-length:"))
+        replies.append((status, headers, data[:length]))
+        data = data[length:]
+    return replies
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    pytest.param(b"POST /manifest.mpd HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+                 b"HTTP/1.1 501 Not Implemented", id="post"),
+    pytest.param(b"HEAD /manifest.mpd HTTP/1.1\r\n\r\n",
+                 b"HTTP/1.1 501 Not Implemented", id="head"),
+    pytest.param(b"garbage\r\n", b"HTTP/1.1 400 Bad Request", id="garbage"),
+    pytest.param(b"GET /manifest.mpd HTTP/9.9\r\n\r\n",
+                 b"HTTP/1.1 400 Bad Request", id="version"),
+    pytest.param(b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+                 b"HTTP/1.1 414 URI Too Long", id="long-line"),
+    pytest.param(b"GET /manifest.mpd HTTP/1.1\r\nX: " + b"a" * 70000 + b"\r\n\r\n",
+                 b"HTTP/1.1 431 Request Header Fields Too Large",
+                 id="long-header"),
+])
+def test_serve_refuses_what_it_cannot_answer_and_closes(tmp_path, capfd,
+                                                        request_bytes, status):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        [(line, headers, body)] = _replies(_raw(handle, request_bytes))
+    assert line == status
+    assert b"Connection: close" in headers
+    assert body == b""
+    assert handle.served["requests"] == 0
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_serve_closes_after_an_http_1_0_reply(tmp_path, capfd):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        reply = _raw(handle, b"GET /manifest.mpd HTTP/1.0\r\n\r\n")
+    [(line, headers, body)] = _replies(reply)
+    assert line == b"HTTP/1.1 200 OK"
+    assert b"Server: evso" in headers
+    assert b"Content-Type: application/dash+xml" in headers
+    assert body == b"<MPD/>"
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_serve_honours_connection_close(tmp_path, capfd):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        reply = _raw(handle, b"GET /manifest.mpd HTTP/1.1\r\n"
+                             b"Host: x\r\nConnection: Close\r\n\r\n")
+    assert [(r[0], r[2]) for r in _replies(reply)] == [
+        (b"HTTP/1.1 200 OK", b"<MPD/>")]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_serve_answers_pipelined_requests_in_order(tmp_path, capfd):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        reply = _raw(handle, b"GET /manifest.mpd HTTP/1.1\r\n\r\n"
+                             b"GET /missing.y4m HTTP/1.1\r\n\r\n"
+                             b"GET /segments/chunk_000.y4m HTTP/1.1\r\n"
+                             b"Connection: close\r\n\r\n")
+    assert [(r[0], r[2]) for r in _replies(reply)] == [
+        (b"HTTP/1.1 200 OK", b"<MPD/>"), (b"HTTP/1.1 404 Not Found", b""),
+        (b"HTTP/1.1 200 OK", b"payload-bytes")]
+    assert handle.served == {"connections": 1, "requests": 3,
+                             "not_found": 1, "bytes_sent": 6 + 13}
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_serve_answers_404_for_a_target_with_a_bad_host(tmp_path, capfd):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        reply = _raw(handle, b"GET http://[/manifest.mpd HTTP/1.1\r\n\r\n"
+                             b"GET /manifest.mpd HTTP/1.0\r\n\r\n")
+    assert [(r[0], r[2]) for r in _replies(reply)] == [
+        (b"HTTP/1.1 404 Not Found", b""), (b"HTTP/1.1 200 OK", b"<MPD/>")]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_serve_counts_only_the_gets_it_parsed(tmp_path, capfd):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        for request_bytes in (b"POST / HTTP/1.1\r\n\r\n", b"garbage\r\n",
+                              b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+                              b"GET /manifest.mpd HTTP/1.0\r\n\r\n",
+                              b"GET /missing.y4m HTTP/1.0\r\n\r\n"):
+            _raw(handle, request_bytes)
+    assert handle.served == {"connections": 5, "requests": 2,
+                             "not_found": 1, "bytes_sent": 6}
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_serve_answers_small_files_at_once_on_a_kept_connection(tmp_path):

@@ -19,7 +19,6 @@ import signal
 import sys
 import tempfile
 import time
-import uuid
 from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -117,7 +116,7 @@ def _write_bytes(path: str, data: bytes) -> None:
         os.makedirs(parent, exist_ok=True)
     # Exclusive create under the umask, like the target itself would get;
     # tempfile.mkstemp would leave every output readable by its owner only.
-    tmp = os.path.join(parent, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.{os.urandom(16).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
@@ -294,6 +293,11 @@ def cmd_schedule(args, config: Config) -> int:
 #: Flat-rate variants by label, each a share of the source rate.
 _FLAT_SHARES = {"baseline": Fraction(1), "two_thirds": Fraction(2, 3)}
 
+#: pipeline's variants in report order, each label with the profile or flat
+#: share that makes it; a label that is an EvsoLevel value gets segments.
+_TREE_VARIANTS = {"baseline": "baseline", "high": "evso", "medium": "evso_plus",
+                  "low": "evso_plus_plus", "two_thirds": "two_thirds"}
+
 
 def _variant(sequence: FrameSequence, label: str,
              sched: Optional[fscheduler.RateSchedule]) -> vprocessor.ProcessedVideo:
@@ -392,7 +396,6 @@ def _tree_manifest(root: str,
         segments_by_level=urls, bandwidth_by_level=bandwidths,
         width=dims.width if dims else None,
         height=dims.height if dims else None,
-        mime_type="video/x-yuv4mpeg",
     )
 
 
@@ -405,14 +408,11 @@ def _write_tree(root: str, sequence: FrameSequence, config: Config, args) -> dic
     sched = fscheduler.schedule(similarity.diff_series(sequence, config),
                                 args.gamma, config)
 
-    # Levels in order, each with the profile or flat share that makes it,
-    # then the flat shares no level plays.
-    levels = {level.value: empd.PROFILE_FOR_LEVEL[level] or level.value
-              for level in empd.EvsoLevel}
+    levels = {level.value for level in empd.EvsoLevel}
     report: Dict[str, dict] = {}
     memo: Dict[Tuple[int, int], float] = {}  # variants share held frames
-    for label in dict.fromkeys([*levels, *_FLAT_SHARES]):
-        video = _variant(sequence, levels.get(label, label), sched)
+    for label, name in _TREE_VARIANTS.items():
+        video = _variant(sequence, name, sched)
         if label in levels:
             _write_segments(os.path.join(root, "segments", label), video, sequence)
         quality = vprocessor.quality_report(video, sequence, memo)

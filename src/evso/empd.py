@@ -18,6 +18,8 @@ from .errors import ChunkCountMismatch, InvariantViolation, MalformedXml
 from .fscheduler import exact_decimal
 
 _MPD_NAMESPACE = "urn:mpeg:dash:schema:mpd:2011"
+#: Media type of the Y4M segments that build_manifest lists.
+Y4M_MIME_TYPE = "video/x-yuv4mpeg"
 
 
 class EvsoLevel(Enum):
@@ -30,15 +32,6 @@ class EvsoLevel(Enum):
     HIGH = "high"
     MEDIUM = "medium"
     LOW = "low"
-
-
-#: Scheduling profile that produces each level; baseline is unprocessed.
-PROFILE_FOR_LEVEL: Dict[EvsoLevel, Optional[str]] = {
-    EvsoLevel.BASELINE: None,
-    EvsoLevel.HIGH: "evso",
-    EvsoLevel.MEDIUM: "evso_plus",
-    EvsoLevel.LOW: "evso_plus_plus",
-}
 
 
 @dataclass(frozen=True)
@@ -120,9 +113,9 @@ class EmpdManifest:
 def build_manifest(chunk_count: int, duration_seconds: Union[Fraction, int],
                    segments_by_level: Dict[EvsoLevel, Sequence[str]],
                    bandwidth_by_level: Dict[EvsoLevel, int],
-                   width: Optional[int] = None, height: Optional[int] = None,
-                   mime_type: str = "video/mp4") -> EmpdManifest:
-    """Single-period manifest with one video set per provided level.
+                   width: Optional[int] = None,
+                   height: Optional[int] = None) -> EmpdManifest:
+    """Single-period manifest with one Y4M video set per provided level.
 
     Every level must supply exactly chunk_count segment URLs; sets appear in
     the fixed level order baseline, high, medium, low.
@@ -144,7 +137,7 @@ def build_manifest(chunk_count: int, duration_seconds: Union[Fraction, int],
             representations=(Representation(
                 id=level.value, bandwidth=int(bandwidth_by_level[level]),
                 segment_urls=urls, width=width, height=height,
-                mime_type=mime_type,
+                mime_type=Y4M_MIME_TYPE,
             ),),
         ))
     period = Period(duration_seconds=Fraction(duration_seconds),
@@ -159,10 +152,9 @@ def _fmt_seconds(seconds: Fraction) -> str:
     scaled = seconds * 10 ** places
     if scaled.denominator != 1:
         return repr(float(seconds))
-    digits = str(abs(scaled.numerator)).rjust(places + 1, "0")
+    digits = str(scaled.numerator).rjust(places + 1, "0")
     fraction = digits[-places:].rstrip("0")
-    return (("-" if seconds < 0 else "") + digits[:-places]
-            + ("." + fraction if fraction else ""))
+    return digits[:-places] + ("." + fraction if fraction else "")
 
 
 def serialize_xml(manifest: EmpdManifest) -> bytes:

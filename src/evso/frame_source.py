@@ -33,34 +33,23 @@ from .fscheduler import FpsLike, FrameDims, as_fps
 _Y4M_420_TAGS = frozenset({"420", "420jpeg", "420mpeg2", "420paldv"})
 
 
-def _uint8_plane(plane) -> np.ndarray:
-    """A uint8 view of plane; other dtypes must hold integers in [0, 255]."""
-    arr = np.asarray(plane)
-    if arr.dtype != np.uint8:
-        with np.errstate(invalid="ignore"):
-            cast = arr.astype(np.uint8)
-        if not np.array_equal(cast, arr):
-            raise ValueError("plane values must be integers in [0, 255]")
-        arr = cast
-    return arr.view()
-
-
 @dataclass(frozen=True)
 class FrameSequence:
     """Ordered luma planes sharing one shape and one nominal frame rate.
 
     Each frame is a read-only (H, W) uint8 plane at least one macroblock
     each way. The sequence locks views of the arrays it is given, so the
-    caller's own arrays stay writable. A plane of another dtype is cast,
-    and rejected unless every value is an integer in [0, 255].
+    caller's own arrays stay writable. A plane of another dtype is refused.
     """
 
     frames: tuple
     fps: Fraction
 
     def __post_init__(self) -> None:
-        frames = tuple(_uint8_plane(plane) for plane in self.frames)
+        frames = tuple(np.asarray(plane).view() for plane in self.frames)
         for plane in frames:
+            if plane.dtype != np.uint8:
+                raise ValueError(f"planes must be uint8, not {plane.dtype}")
             plane.setflags(write=False)
             if plane.ndim != 2 or plane.shape != frames[0].shape:
                 raise ValueError(f"planes must share one 2-D shape, got "

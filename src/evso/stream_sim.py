@@ -20,7 +20,8 @@ from enum import Enum
 from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
                     TextIO, Tuple, Union)
 
-from .empd import AdaptationSet, EmpdManifest, EvsoLevel, Representation
+from .empd import (Y4M_MIME_TYPE, AdaptationSet, EmpdManifest, EvsoLevel,
+                   Representation)
 from .errors import (BindFailure, InvariantViolation, MalformedDocument,
                      MissingManifest, NoVideoSets)
 
@@ -201,7 +202,7 @@ def simulate_session(manifest: EmpdManifest, trace: Sequence[TracePoint],
 _CONTENT_TYPES = {
     ".mpd": "application/dash+xml",
     ".xml": "text/xml",
-    ".y4m": "video/x-yuv4mpeg",
+    ".y4m": Y4M_MIME_TYPE,
     ".json": "application/json",
     ".csv": "text/csv",
 }
@@ -247,8 +248,8 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
     The directory must already hold manifest.mpd. Port 0 binds an
     ephemeral port; the handle reports the one chosen. A path that is no
     readable file under the root gets a 404. A connection persists between
-    requests, after a 404 too, unless the client speaks HTTP/1.0 or sends
-    Connection: close. A method other than GET gets a 501, and a request it
+    requests, after a 404 too, unless the client speaks HTTP/1.0 or lists
+    close in Connection. A method other than GET gets a 501, and a request it
     cannot parse a 400, 414 or 431; each of these closes the connection.
     """
     # Imported here, so the commands that only read manifests never load it.
@@ -299,7 +300,7 @@ def serve(root_dir: Union[str, os.PathLike], host: str = "127.0.0.1",
                     return self._head("431 Request Header Fields Too Large")
                 name, _, value = line.partition(b":")
                 if name.strip().lower() == b"connection":
-                    close |= value.strip().lower() == b"close"
+                    close |= b"close" in map(bytes.strip, value.lower().split(b","))
             if not line:
                 return False
             if words[0] != b"GET":

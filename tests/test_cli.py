@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from evso import cli, empd, errors
+from evso.fscheduler import PROFILE_FACTORS
 from evso.frame_source import read_y4m, standard_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,7 +168,7 @@ def _run_cold(code, **env_vars):
                  "assert 'numpy' not in sys.modules", id="empd"),
     pytest.param("import sys, evso.cli\n"
                  "loaded = [m for m in ('numpy', 'evso.empd', 'evso.stream_sim',"
-                 " 'xml.etree', 'socketserver', 'http.server')"
+                 " 'xml.etree', 'socketserver', 'http.server', 'uuid', 'platform')"
                  " if m in sys.modules]\n"
                  "assert not loaded, loaded", id="cli"),
     pytest.param("import os, socket, sys, tempfile\n"
@@ -748,6 +749,18 @@ def test_pipeline_on_raw_input_writes_the_tree_of_the_same_y4m(tmp_path,
     assert _tree_bytes(trees[0]) == _tree_bytes(trees[1]) == _tree_bytes(trees[2])
 
 
+def test_tree_variants_are_the_levels_then_two_thirds_by_profile_name():
+    assert list(cli._TREE_VARIANTS) == [
+        *(level.value for level in empd.EvsoLevel), "two_thirds"]
+    made = [p for p in cli._TREE_VARIANTS.values() if p not in cli._FLAT_SHARES]
+    assert sorted(made) == sorted(PROFILE_FACTORS)
+    parser = cli.build_parser()
+    for profile in cli._TREE_VARIANTS.values():  # each a --profile choice
+        args = parser.parse_args(
+            ["process", "in.y4m", "--profile", profile, "--out", "out"])
+        assert args.profile == profile
+
+
 def test_process_writes_the_chunks_pipeline_writes_for_its_level(tmp_path,
                                                                 capsys):
     clip = _synth_clip(tmp_path, count=90)
@@ -756,13 +769,13 @@ def test_process_writes_the_chunks_pipeline_writes_for_its_level(tmp_path,
     tree = tmp_path / "tree"
     assert cli.main(["--config", str(cfg), "pipeline", str(clip),
                      str(tree)]) == 0
-    for level, profile in empd.PROFILE_FOR_LEVEL.items():
-        if profile is None:
+    for label, profile in cli._TREE_VARIANTS.items():
+        if profile in cli._FLAT_SHARES:
             continue
         out = tmp_path / profile
         assert cli.main(["--config", str(cfg), "process", str(clip),
                          "--profile", profile, "--out", str(out)]) == 0
-        expected = _tree_bytes(tree / "segments" / level.value)
+        expected = _tree_bytes(tree / "segments" / label)
         assert len(expected) == 3
         assert _tree_bytes(out) == expected
 

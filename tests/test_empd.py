@@ -6,7 +6,6 @@ from evso.empd import (
     AdaptationSet,
     EmpdManifest,
     EvsoLevel,
-    PROFILE_FOR_LEVEL,
     Period,
     Representation,
     build_manifest,
@@ -14,7 +13,6 @@ from evso.empd import (
     serialize_xml,
 )
 from evso.errors import ChunkCountMismatch, InvariantViolation, MalformedXml
-from evso.fscheduler import PROFILE_FACTORS
 
 
 def _rep(rep_id="r1", urls=("seg0.y4m", "seg1.y4m"), bandwidth=1000, **kw):
@@ -30,15 +28,6 @@ def _manifest(levels=(EvsoLevel.BASELINE, EvsoLevel.LOW)):
     )
     return EmpdManifest(periods=(
         Period(duration_seconds=Fraction(5), adaptation_sets=sets),))
-
-
-def test_level_profile_mapping_is_bijective_off_baseline():
-    assert PROFILE_FOR_LEVEL[EvsoLevel.BASELINE] is None
-    assert PROFILE_FOR_LEVEL[EvsoLevel.HIGH] == "evso"
-    assert PROFILE_FOR_LEVEL[EvsoLevel.MEDIUM] == "evso_plus"
-    assert PROFILE_FOR_LEVEL[EvsoLevel.LOW] == "evso_plus_plus"
-    named = [p for p in PROFILE_FOR_LEVEL.values() if p is not None]
-    assert sorted(named) == sorted(PROFILE_FACTORS)
 
 
 def test_round_trip_preserves_structure():

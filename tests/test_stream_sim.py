@@ -17,6 +17,8 @@ from evso.empd import (
     EvsoLevel,
     Period,
     Representation,
+    Y4M_MIME_TYPE,
+    build_manifest,
     parse_xml,
 )
 from evso.errors import (
@@ -420,6 +422,36 @@ def test_serve_honours_connection_close(tmp_path, capfd):
     assert [(r[0], r[2]) for r in _replies(reply)] == [
         (b"HTTP/1.1 200 OK", b"<MPD/>")]
     assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("value", [b"TE, close", b"keep-alive, Close"])
+def test_serve_closes_on_a_close_token_anywhere_in_connection(tmp_path, capfd,
+                                                              value):
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        reply = _raw(handle, b"GET /manifest.mpd HTTP/1.1\r\n"
+                             b"Connection: " + value + b"\r\n\r\n")
+    [(line, headers, body)] = _replies(reply)
+    assert line == b"HTTP/1.1 200 OK"
+    assert b"Connection: close" in headers
+    assert body == b"<MPD/>"
+    assert handle.served["requests"] == 1
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_built_representations_and_served_segments_carry_the_y4m_type(
+        tmp_path):
+    manifest = build_manifest(
+        chunk_count=1, duration_seconds=1,
+        segments_by_level={level: ["segments/chunk_000.y4m"]
+                           for level in EvsoLevel},
+        bandwidth_by_level=dict.fromkeys(EvsoLevel, 100))
+    assert {rep.mime_type for aset in manifest.video_sets()
+            for rep in aset.representations} == {Y4M_MIME_TYPE}
+    root = _tree(tmp_path)
+    with serve(root) as handle:
+        with urllib.request.urlopen(handle.url + "segments/chunk_000.y4m") as reply:
+            assert reply.headers["Content-Type"] == Y4M_MIME_TYPE
 
 
 def test_serve_answers_pipelined_requests_in_order(tmp_path, capfd):

@@ -17,12 +17,14 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ChunkTooSmall, WindowOutOfRange
@@ -158,6 +160,8 @@ class DiffSeries:
             raise ValueError("a diff series needs at least one pair")
         grid = self.dims.mb_rows * self.dims.mb_cols
         for pos, pair in enumerate(pairs):
+            if type(pair.m_diff) is not int:  # split sums their exact squares
+                raise TypeError(f"pair {pos}: m_diff {pair.m_diff!r} is no int")
             if not 0 <= pair.m_diff <= grid:
                 raise ValueError(
                     f"pair {pos}: m_diff {pair.m_diff} outside [0, {grid}]"
@@ -168,8 +172,12 @@ class DiffSeries:
     @classmethod
     def from_m_diffs(cls, m_diffs: Sequence[int], dims: FrameDims,
                      fps: FpsLike = 30) -> "DiffSeries":
-        """Wrap bare changed-block counts; y_diff is filled with zeros."""
-        pairs = tuple(PairDiff(m_diff=int(d), y_diff=0) for d in m_diffs)
+        """Wrap bare changed-block counts, any integers but bools, as Python
+        ints; y_diff is filled with zeros."""
+        m_diffs = tuple(m_diffs)
+        if bool in map(type, m_diffs):
+            raise TypeError("an m_diff is a bool, not a count")
+        pairs = tuple(map(PairDiff, map(operator.index, m_diffs), repeat(0)))
         return cls(dims=dims, fps=fps, pairs=pairs)
 
     @property
@@ -220,13 +228,14 @@ class Config:
         default_factory=default_profiles)
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
+        # Written `not x >= 0` so that NaN is refused too.
+        if not self.theta >= 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if not isinstance(self.k_window, numbers.Integral):
             raise TypeError(f"k_window must be an integer, got {self.k_window!r}")
         if self.k_window < 2:
             raise ValueError(f"k_window must be >= 2, got {self.k_window}")
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be >= 0")
         profiles = {name: tuple(f) for name, f in self.profiles.items()}
         object.__setattr__(self, "profiles", profiles)
@@ -243,7 +252,7 @@ class Config:
             raise ValueError("need exactly 4 band boundaries")
         if taus[0] <= 0 or any(a >= b for a, b in zip(taus, taus[1:])):
             raise ValueError("band boundaries must be positive and increasing")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be >= 0")
 
 
@@ -258,6 +267,14 @@ class ChunkRange(NamedTuple):
         return self.end - self.start
 
 
+def _window(m_diffs: Sequence[int], n: int, k: int) -> Sequence[int]:
+    """m_diffs[n-K+1 : n]; WindowOutOfRange unless K <= n <= len(m_diffs)."""
+    if n < k or n > len(m_diffs):
+        raise WindowOutOfRange(
+            f"n={n} outside [{k}, {len(m_diffs)}] for window size {k}")
+    return m_diffs[n - k + 1:n]
+
+
 def rolling_stats(m_diffs: Sequence[int], n: int,
                   config: Optional[Config] = None) -> Tuple[float, float]:
     """Window mean and standard deviation at frame n.
@@ -266,14 +283,26 @@ def rolling_stats(m_diffs: Sequence[int], n: int,
     Raises WindowOutOfRange unless K <= n <= len(m_diffs).
     """
     k = (config or Config()).k_window
-    if n < k or n > len(m_diffs):
-        raise WindowOutOfRange(
-            f"n={n} outside [{k}, {len(m_diffs)}] for window size {k}"
-        )
-    window = m_diffs[n - k + 1:n]
+    window = _window(m_diffs, n, k)
     mean = sum(window) / k
     var = sum((d - mean) ** 2 for d in window) / (k - 1)
     return mean, math.sqrt(var)
+
+
+def _deviates(m_diffs: Sequence[int], n: int, s: int, q: int,
+              cfg: Config) -> bool:
+    """rolling_stats' sigma > alpha at frame n, from the sum s and the sum of
+    squares q of the window. Its exact variance is (K²q - (K+1)s²) / (K²(K-1));
+    for counts below 2**53 the float one of rolling_stats lies within
+    (K + 6)·2**-53·(var + mean²) of it, and sqrt adds one rounding. A slack
+    2**13 times that leaves only near-ties to rolling_stats' own sigma."""
+    k = cfg.k_window
+    var = (k * k * q - (k + 1) * s * s) / (k * k * (k - 1))
+    slack = (k + 6) * 2.0 ** -40 * (var + (s / k) ** 2)
+    alpha2 = cfg.alpha * cfg.alpha
+    if not var - slack <= alpha2 <= var + slack:
+        return var > alpha2
+    return rolling_stats(m_diffs, n, cfg)[1] > cfg.alpha
 
 
 def est(series: DiffSeries, n: int, chunk_start: int, gamma: Fraction,
@@ -285,9 +314,10 @@ def est(series: DiffSeries, n: int, chunk_start: int, gamma: Fraction,
     frames. All three comparisons are strict.
     """
     cfg = config or Config()
-    _, sigma = rolling_stats(series.m_diffs, n, cfg)
-    spike = series.m_diffs[n - 1] > cfg.beta
-    if not (sigma > cfg.alpha or spike):
+    window = _window(series.m_diffs, n, cfg.k_window)
+    sums = sum(window), sum(map(operator.mul, window, window))
+    if not (series.m_diffs[n - 1] > cfg.beta
+            or _deviates(series.m_diffs, n, *sums, cfg)):
         return False
     return n - chunk_start > gamma
 
@@ -302,11 +332,24 @@ def split(series: DiffSeries, gamma: Optional[FpsLike] = None,
     """
     cfg = config or Config()
     gamma = series.fps if gamma is None else as_fps(gamma)
-    starts = [0]
-    for n in range(cfg.k_window, series.frame_count):
-        if est(series, n, starts[-1], gamma, cfg):
+    d, k, beta, last = series.m_diffs, cfg.k_window, cfg.beta, series.frame_count
+    # n - start > gamma exactly when n - start >= floor(gamma) + 1, so each
+    # scan starts that far past a cut; it slides the window's sums s and q.
+    hold = math.floor(gamma) + 1
+    starts, n = [0], max(k, hold)
+    while n < last:
+        window = d[n - k + 1:n]
+        s, q = sum(window), sum(map(operator.mul, window, window))
+        while not (d[n - 1] > beta or _deviates(d, n, s, q, cfg)):
+            n += 1
+            if n == last:
+                break
+            enter, leave = d[n - 1], d[n - k]
+            s, q = s + enter - leave, q + enter * enter - leave * leave
+        else:
             starts.append(n)
-    bounds = starts + [series.frame_count]
+            n += hold
+    bounds = starts + [last]
     return tuple(ChunkRange(a, b) for a, b in zip(bounds, bounds[1:]))
 
 
@@ -336,6 +379,14 @@ def chunk_sigma(series: DiffSeries, chunk: ChunkRange) -> float:
     return math.sqrt(var)
 
 
+def _rate(bands: Sequence[int], rates: Sequence[float], sigma: float,
+          cfg: Config, playback: float) -> float:
+    """evf: the mean of each pair's epf rate, looked up by its band in rates,
+    plus delta times sigma, at most the playback rate."""
+    mean_rate = sum(map(rates.__getitem__, bands)) / len(bands)
+    return min(mean_rate + cfg.delta * sigma, playback)
+
+
 def evf(series: DiffSeries, chunk: ChunkRange, factors: Sequence[float],
         gamma: Fraction, config: Optional[Config] = None) -> float:
     """Chunk target rate: mean per-pair rate plus a small deviation bonus.
@@ -346,8 +397,9 @@ def evf(series: DiffSeries, chunk: ChunkRange, factors: Sequence[float],
     cfg = config or Config()
     sigma = chunk_sigma(series, chunk)  # raises ChunkTooSmall on a pairless chunk
     values = series.m_diffs[chunk.start:chunk.end - 1]
-    mean_rate = sum(epf(d, factors, gamma, cfg.taus) for d in values) / len(values)
-    return min(mean_rate + cfg.delta * sigma, float(gamma))
+    playback = float(gamma)
+    return _rate([bisect.bisect_right(cfg.taus, d) for d in values],
+                 [f * playback for f in factors], sigma, cfg, playback)
 
 
 class ChunkScheduleEntry(NamedTuple):
@@ -399,16 +451,18 @@ def schedule(series: DiffSeries, gamma: Optional[FpsLike] = None,
     """
     cfg = config or Config()
     gamma = series.fps if gamma is None else as_fps(gamma)
+    playback = float(gamma)
+    rates_by_band = {name: [f * playback for f in factors]
+                     for name, factors in cfg.profiles.items()}
+    bands = [bisect.bisect_right(cfg.taus, d) for d in series.m_diffs]
     entries = []
     for chunk in split(series, gamma=gamma, config=cfg):
         rated = (chunk if chunk.frame_count > 1
                  else ChunkRange(chunk.start - 1, chunk.end))
-        rates = {
-            name: evf(series, rated, factors, gamma, cfg)
-            for name, factors in cfg.profiles.items()
-        }
-        entries.append(ChunkScheduleEntry(
-            range=chunk, sigma=chunk_sigma(series, rated), rates=rates,
-        ))
+        sigma = chunk_sigma(series, rated)
+        chunk_bands = bands[rated.start:rated.end - 1]
+        rates = {name: _rate(chunk_bands, table, sigma, cfg, playback)
+                 for name, table in rates_by_band.items()}
+        entries.append(ChunkScheduleEntry(range=chunk, sigma=sigma, rates=rates))
     return RateSchedule(entries=tuple(entries), frame_count=series.frame_count,
                         fps=series.fps, gamma=gamma)

@@ -9,9 +9,10 @@ from rounding drift.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import InvalidRate, ScheduleMismatch
@@ -50,9 +51,10 @@ def retime_indices(frame_count: int, source_fps: Fraction,
             f"target rate {target} exceeds source rate {source_fps}"
         )
     ratio = target / source_fps
-    # Output tick k lies in the interval of frame floor(k / ratio).
+    # Output tick k lies in the interval of frame floor(k / ratio) = kq // p.
     p, q = ratio.numerator, ratio.denominator
-    return tuple(k * q // p for k in range(-(-frame_count * p // q)))
+    kept = -(-frame_count * p // q)
+    return tuple(map(operator.floordiv, range(0, kept * q, q), repeat(p)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import hashlib
 import http.client
 import json
 import os
+import random
 import re
 import select
 import signal
@@ -1497,3 +1498,36 @@ def test_bad_input_prints_error_and_exits_1(tmp_path, monkeypatch, capsys,
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+#: SHA-256 of `schedule --analysis` on _long_analysis's document.
+_LONG_SCHEDULE_SHA256 = (
+    "d49d7dcb61d9e9352e8812c0fb083725287f0d953e5ec8f165e0bfd2dc674534")
+
+
+def _long_analysis(path, pairs=6000, seed=36):
+    """A seeded 2560x1600 analysis walking all five bands, with spikes."""
+    rnd = random.Random(seed)
+    m_diffs, level = [], 0
+    for _ in range(pairs):
+        if rnd.random() < 0.02:
+            level = rnd.choice((250, 1000, 2200, 4500, 11000))
+        value = level + rnd.randint(-400, 400)
+        if rnd.random() < 0.01:
+            value = rnd.randint(15001, 16000)
+        m_diffs.append(min(16000, max(0, value)))
+    path.write_text(json.dumps({
+        "width": 2560, "height": 1600, "fps": "30000/1001",
+        "frame_count": pairs + 1,
+        "pairs": [{"index": i, "m_diff": d, "y_diff": 0, "ssim": None}
+                  for i, d in enumerate(m_diffs)]}))
+
+
+def test_schedule_of_a_long_analysis_is_byte_identical_to_recorded_digest(
+        tmp_path):
+    analysis, out = tmp_path / "a.json", tmp_path / "s.json"
+    _long_analysis(analysis)
+    assert cli.main(["schedule", "--analysis", str(analysis),
+                     "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["chunks"]) > 50
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _LONG_SCHEDULE_SHA256

@@ -337,3 +337,110 @@ def test_schedule_rates_one_frame_final_chunk_from_entering_pair():
     assert sched.entries[0].rates["evso"] == pytest.approx(18.0, abs=1e-9)
     with pytest.raises(ChunkTooSmall):
         evf(series, last.range, default_profiles()["evso"], Fraction(30))
+
+
+def test_diff_series_refuses_counts_that_are_not_ints():
+    for bad in ([3.7, 1, 2], [3.0, 1], [True, 2], [1, False]):
+        with pytest.raises(TypeError):
+            DiffSeries.from_m_diffs(bad, MID)
+    for bad in (3.7, 2.0, True):
+        with pytest.raises(TypeError):
+            DiffSeries(dims=MID, fps=30, pairs=[PairDiff(bad, 0), PairDiff(2, 0)])
+    numpy = pytest.importorskip("numpy")
+    series = DiffSeries.from_m_diffs(numpy.array([3, 1, 2]), MID)
+    assert series.m_diffs == (3, 1, 2)
+    assert all(type(d) is int for d in series.m_diffs)
+    assert _series(d for d in (4, 5)).m_diffs == (4, 5)
+
+
+@pytest.mark.parametrize("key", ["theta", "alpha", "beta", "delta"])
+def test_config_refuses_nan(key):
+    with pytest.raises(ValueError):
+        Config(**{key: math.nan})
+    if key != "theta":
+        Config(**{key: math.inf})
+
+
+def _est_split(series, gamma, cfg):
+    starts = [0]
+    for n in range(cfg.k_window, series.frame_count):
+        if est(series, n, starts[-1], gamma, cfg):
+            starts.append(n)
+    return starts + [series.frame_count]
+
+
+def test_split_cuts_equal_est_and_the_reference_near_alpha():
+    from test_acceptance import _random_m_diffs, _reference_split
+    rnd = random.Random(36)
+    gammas = (Fraction(30000, 1001), Fraction(1, 3), Fraction(7, 2))
+    for trial in range(400):
+        count = rnd.randint(1, 120)
+        diffs = _random_m_diffs(rnd, 16000, count)
+        k = rnd.randint(2, count + 3)
+        gamma = rnd.choice(gammas)
+        alpha, beta = rnd.choice((3000, 0, math.inf)), rnd.choice((15000, math.inf))
+        if count >= k and trial % 2:
+            # alpha at one window's own float sigma, or one ulp either side
+            _, sigma = rolling_stats(diffs, rnd.randint(k, count),
+                                     Config(k_window=k))
+            alpha = rnd.choice((sigma, math.nextafter(sigma, 0),
+                                math.nextafter(sigma, math.inf)))
+        cfg = Config(alpha=alpha, beta=beta, k_window=k)
+        series = _series(diffs, dims=BIG)
+        bounds = [c.start for c in split(series, gamma, cfg)] + [count + 1]
+        assert bounds == _est_split(series, gamma, cfg)
+        assert bounds == _reference_split(diffs, count + 1, gamma, alpha, beta, k)
+
+
+def test_split_restarts_its_sums_after_a_jump():
+    # Cuts right after each jump: every window after a cut is the first the
+    # sliding sums see, so a stale sum would move the next cut.
+    diffs = ([0] * 5 + [6400] * 5) * 20
+    cfg = Config(k_window=4, alpha=100)
+    series = _series(diffs)
+    for gamma in (Fraction(1, 3), Fraction(7, 2), Fraction(4)):
+        bounds = [c.start for c in split(series, gamma, cfg)] + [201]
+        assert len(bounds) > 20
+        assert bounds == _est_split(series, gamma, cfg)
+
+
+def test_split_decides_far_windows_without_rolling_stats(monkeypatch):
+    from evso import fscheduler
+    calls = []
+    monkeypatch.setattr(fscheduler, "rolling_stats",
+                        lambda *args: calls.append(args) or rolling_stats(*args))
+    rnd = random.Random(1)
+    levels = (250, 1000, 2200, 4500, 11000, 250) * 8
+    diffs = [level + rnd.randint(-40, 40) for level in levels for _ in range(60)]
+    diffs[335] = 15500  # a beta spike inside the second band-0 run
+    series = _series(diffs, dims=BIG)
+    assert len(split(series)) > 8
+    assert calls == []
+    # The first window split visits, at frame 31, has alpha as its sigma:
+    # that near-tie goes to the float rule.
+    _, sigma = rolling_stats(diffs, 31)
+    split(series, config=Config(alpha=sigma))
+    assert calls
+
+
+def test_schedule_rates_equal_a_per_profile_epf_reference():
+    rnd = random.Random(7)
+    for _ in range(60):
+        count = rnd.randint(2, 300)
+        diffs = [rnd.choice((0, 499, 500, 1500, 2999, 6000, 16000))
+                 if rnd.random() < 0.2 else rnd.randint(0, 16000)
+                 for _ in range(count)]
+        cfg = Config(alpha=rnd.choice((500, 3000)), beta=rnd.choice((9000, 15000)),
+                     k_window=rnd.randint(2, 12), delta=rnd.choice((0, 0.0001, 0.3)))
+        gamma = rnd.choice((Fraction(30), Fraction(30000, 1001), Fraction(7, 2)))
+        series = _series(diffs, dims=BIG)
+        for entry in schedule(series, gamma, cfg):
+            rated = (entry.range if entry.range.frame_count > 1
+                     else ChunkRange(entry.range.start - 1, entry.range.end))
+            values = diffs[rated.start:rated.end - 1]
+            sigma = chunk_sigma(series, rated)
+            assert entry.sigma == sigma
+            for name, factors in cfg.profiles.items():
+                mean = sum(epf(d, factors, gamma, cfg.taus) for d in values) / len(values)
+                assert entry.rates[name] == min(mean + cfg.delta * sigma, float(gamma))
+                assert evf(series, rated, factors, gamma, cfg) == entry.rates[name]

@@ -261,3 +261,16 @@ def test_quality_report_scores_only_dropped_frames_against_held_plane(
         assert b is seq[pos]
     assert report.mean_ssim == pytest.approx(
         (20 - 0.5 * len(dropped)) / 20)
+
+
+def test_retime_indices_equal_the_generator_formula():
+    rnd = random.Random(36)
+    source = Fraction(30000, 1001)
+    for _ in range(300):
+        target = rnd.choice((source, source * Fraction(2, 3), 12.9, 29.97,
+                             Fraction(rnd.randint(1, 30000), 1001)))
+        count = rnd.randint(0, 400)
+        ratio = snap_rate(target) / source
+        p, q = ratio.numerator, ratio.denominator
+        expected = tuple(k * q // p for k in range(-(-count * p // q)))
+        assert retime_indices(count, source, target) == expected
